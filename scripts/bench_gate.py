@@ -69,6 +69,15 @@ What is gated vs merely reported:
   tail means head-of-line blocking in the daemon, not overload.
   Absolute latencies and throughput are report-only. This file only
   runs under --only service: the default bench jobs don't produce it.
+* compile.r<N>.* gauges (BENCH_compile.json, written by
+  bench/compile_scaling) gate the compile pipeline on the bearing at
+  10-160 rollers by machine-independent counts only: pool nodes after
+  compile_model and after the four C++ emitters, and the emitted C++
+  bytes, must equal the baseline exactly (the node-order invariant of
+  codegen::inline_algebraics: CSE numbers temporaries by ExprId, so a
+  changed node sequence changes the emitted code), and Pool::substitute
+  passes must not exceed it. Milliseconds per state and the
+  160-vs-10-roller slope are report-only.
 * Absolute wall-clock rates (backends.*.calls_per_s,
   ensemble.*.scen_per_s) vary with CI hardware and are reported for the
   log but never gated.
@@ -137,6 +146,13 @@ class Gate:
         if not ok:
             self.failures.append(
                 f"{name}: {fmt(current)} > ceiling {fmt(ceiling)} ({why})")
+
+    def check_equal(self, name, current, expected, why):
+        ok = current == expected
+        cur, exp = f"{current:.0f}", f"{expected:.0f}"  # exact counts
+        self.rows.append((name, cur, exp, why, "ok" if ok else "FAIL"))
+        if not ok:
+            self.failures.append(f"{name}: {cur} != {exp} ({why})")
 
     def report(self, name, current, baseline):
         delta = ("n/a" if baseline is None or baseline == 0.0
@@ -402,6 +418,37 @@ def gate_service(gate, current, baseline):
             gate.report(name, current[name], baseline.get(name))
 
 
+def gate_compile(gate, current, baseline):
+    sizes = sorted(int(name[len("compile.r"):-len(".states")])
+                   for name in current
+                   if name.startswith("compile.r")
+                   and name.endswith(".states"))
+    if not sizes:
+        gate.failures.append("compile.r*: no per-size gauges")
+        return
+    for n in sizes:
+        prefix = f"compile.r{n}"
+        if f"{prefix}.states" not in baseline:
+            gate.failures.append(f"{prefix}: size missing from baseline")
+            continue
+        for key in ("pool_nodes_compile", "pool_nodes_emit",
+                    "emit_cpp_bytes"):
+            name = f"{prefix}.{key}"
+            gate.check_equal(name, current.get(name, -1.0),
+                             baseline.get(name, -1.0), "baseline, exact")
+        name = f"{prefix}.substitute_passes"
+        gate.check_max(name, current.get(name, float("inf")),
+                       baseline.get(name, 0.0), "baseline")
+        for key in ("task_planning_ms_per_state", "compile_ms_per_state",
+                    "emit_ms_per_state"):
+            name = f"{prefix}.{key}"
+            if name in current:
+                gate.report(name, current[name], baseline.get(name))
+    name = "compile.slope_ms_per_state"
+    if name in current:
+        gate.report(name, current[name], baseline.get(name))
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--current", required=True,
@@ -425,6 +472,7 @@ def main():
               ("BENCH_sparse.json", gate_sparse),
               ("BENCH_simd.json", gate_simd),
               ("BENCH_autotune.json", gate_autotune),
+              ("BENCH_compile.json", gate_compile),
               ("BENCH_service.json", gate_service))
     if args.only:
         suites = tuple(s for s in suites

@@ -1,5 +1,8 @@
 #include "omx/codegen/assignments.hpp"
 
+#include <algorithm>
+#include <functional>
+
 #include "omx/expr/simplify.hpp"
 
 namespace omx::codegen {
@@ -31,14 +34,51 @@ AssignmentSet build_assignments(const model::FlatSystem& flat,
 
 expr::ExprId inline_algebraics(const model::FlatSystem& flat,
                                expr::ExprId e) {
-  expr::Context& ctx = flat.ctx();
-  // Substitute repeatedly: the algebraics are acyclic and topologically
-  // ordered, so substituting in reverse order resolves chains in one sweep.
-  expr::ExprId cur = e;
-  for (std::size_t j = flat.algebraics().size(); j-- > 0;) {
-    const model::FlatAlgebraic& al = flat.algebraics()[j];
-    cur = ctx.pool.substitute(cur, al.name, al.rhs);
+  OMX_REQUIRE(flat.finalized(), "flat system must be finalized");
+  model::InlineCache& cache = flat.inline_cache();
+  if (auto it = cache.memo.find(e); it != cache.memo.end()) {
+    return it->second;
   }
+  expr::Pool& pool = flat.ctx().pool;
+
+  // Gather the transitive closure of the algebraics `e` reads: the
+  // directly referenced ones, then their dependency lists.
+  if (++cache.epoch == 0) {
+    std::fill(cache.marks.begin(), cache.marks.end(), 0);
+    cache.epoch = 1;
+  }
+  std::vector<std::uint32_t> closure;
+  auto visit = [&](std::uint32_t j) {
+    if (cache.marks[j] != cache.epoch) {
+      cache.marks[j] = cache.epoch;
+      closure.push_back(j);
+    }
+  };
+  std::vector<SymbolId> syms;
+  pool.free_syms(e, syms);
+  for (SymbolId s : syms) {
+    if (const int j = flat.algebraic_index(s); j >= 0) {
+      visit(static_cast<std::uint32_t>(j));
+    }
+  }
+  for (std::size_t k = 0; k < closure.size(); ++k) {
+    for (std::uint32_t d : cache.deps[closure[k]]) {
+      visit(d);
+    }
+  }
+
+  // The algebraics are topologically ordered, so substituting in
+  // descending index order resolves chains in one sweep. A pass for an
+  // algebraic outside the closure would find no occurrence and create no
+  // node, so skipping those passes leaves the node sequence unchanged.
+  std::sort(closure.begin(), closure.end(), std::greater<>());
+  expr::Pool::ScratchScope scratch;
+  expr::ExprId cur = e;
+  for (std::uint32_t j : closure) {
+    const model::FlatAlgebraic& al = flat.algebraics()[j];
+    cur = pool.substitute(cur, al.name, al.rhs);
+  }
+  cache.memo.emplace(e, cur);
   return cur;
 }
 

@@ -32,4 +32,20 @@ EmitResult emit_cpp_serial_batch(const model::FlatSystem& flat,
                                  const AssignmentSet& set,
                                  const EmitOptions& opts = {});
 
+/// The scalar and batched variants of one surface, printed from a single
+/// preparation (inlining, CSE, renames) of each unit. Byte-identical to
+/// the separate emit_cpp_* calls, at the preparation cost of one.
+struct EmitVariants {
+  EmitResult scalar;
+  EmitResult batch;
+};
+
+EmitVariants emit_cpp_serial_variants(const model::FlatSystem& flat,
+                                      const AssignmentSet& set,
+                                      const EmitOptions& opts = {});
+
+EmitVariants emit_cpp_parallel_variants(const model::FlatSystem& flat,
+                                        const TaskPlan& plan,
+                                        const EmitOptions& opts = {});
+
 }  // namespace omx::codegen

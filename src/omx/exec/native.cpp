@@ -17,6 +17,7 @@
 #include "omx/codegen/cpp_emit.hpp"
 #include "omx/exec/vmath_embed.hpp"
 #include "omx/model/flat_system.hpp"
+#include "omx/obs/trace.hpp"
 #include "omx/support/config.hpp"
 #include "omx/vm/program.hpp"
 
@@ -187,12 +188,11 @@ std::string compose_source(const model::FlatSystem& flat,
   // definitions are embedded below so every kernel ships its own
   // branch-free math and rhs/rhs_batch stay bitwise identical per lane.
   eo.simd_math = true;
-  const codegen::EmitResult serial = codegen::emit_cpp_serial(flat, set, eo);
-  const codegen::EmitResult par = codegen::emit_cpp_parallel(flat, plan, eo);
-  const codegen::EmitResult serial_b =
-      codegen::emit_cpp_serial_batch(flat, set, eo);
-  const codegen::EmitResult par_b =
-      codegen::emit_cpp_parallel_batch(flat, plan, eo);
+  obs::Span span("native.emit_cpp", "exec");
+  const codegen::EmitVariants serial =
+      codegen::emit_cpp_serial_variants(flat, set, eo);
+  const codegen::EmitVariants par =
+      codegen::emit_cpp_parallel_variants(flat, plan, eo);
 
   std::ostringstream os;
   os << "// Synthesized by omx::exec (native backend). Do not edit.\n"
@@ -207,12 +207,12 @@ std::string compose_source(const model::FlatSystem& flat,
      << "}\n"
      << "}  // namespace\n"
      << "namespace omx_serial {\n"
-     << serial.code
-     << serial_b.code
+     << serial.scalar.code
+     << serial.batch.code
      << "}  // namespace omx_serial\n"
      << "namespace omx_parallel {\n"
-     << par.code
-     << par_b.code
+     << par.scalar.code
+     << par.batch.code
      << "}  // namespace omx_parallel\n"
      << "extern \"C\" {\n"
      << "int omx_abi_version() { return 3; }\n"
@@ -338,6 +338,9 @@ std::shared_ptr<NativeState> build_module(const std::string& source,
     why = "no host C++ compiler found; set OMX_NATIVE_CXX";
     return nullptr;
   }
+  // Cache lookup or compile, then dlopen: "warm" when the object was
+  // already published, "cold" when this call ran the compiler.
+  obs::Span span("native.build.warm", "exec");
 
   std::error_code ec;
   const fs::path dir = cache_dir(opts);
@@ -387,6 +390,7 @@ std::shared_ptr<NativeState> build_module(const std::string& source,
       cmd += " -o '" + so_tmp.string() + "' '" + cpp.string() + "' > '" +
              log.string() + "' 2>&1";
 
+      span.set_name("native.build.cold");
       const auto start = std::chrono::steady_clock::now();
       const int rc = std::system(cmd.c_str());
       const double secs =

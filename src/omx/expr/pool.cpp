@@ -36,8 +36,9 @@ const char* func2_name(Func2 f) {
   return "?";
 }
 
-std::size_t Pool::NodeHash::operator()(const Node& n) const {
-  // FNV-style mix over the four fields; quality is sufficient for dedup.
+std::size_t Pool::hash(const Node& n) {
+  // FNV-style mix over the four fields, then a 64-bit finalizer so the
+  // low bits the probe uses depend on every field.
   std::uint64_t h = 0xcbf29ce484222325ull;
   auto mix = [&h](std::uint64_t v) {
     h ^= v;
@@ -47,17 +48,42 @@ std::size_t Pool::NodeHash::operator()(const Node& n) const {
   mix(n.fn);
   mix(n.a);
   mix(static_cast<std::uint64_t>(n.b) << 1);
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdull;
+  h ^= h >> 33;
   return static_cast<std::size_t>(h);
+}
+
+void Pool::grow_dedup() {
+  std::vector<ExprId> table(dedup_.size() * 2, kNoExpr);
+  const std::size_t mask = table.size() - 1;
+  for (ExprId id = 0; id < nodes_.size(); ++id) {
+    std::size_t i = hash(nodes_[id]) & mask;
+    while (table[i] != kNoExpr) {
+      i = (i + 1) & mask;
+    }
+    table[i] = id;
+  }
+  dedup_.swap(table);
 }
 
 ExprId Pool::intern(Op op, std::uint8_t fn, ExprId a, ExprId b) {
   const Node n{op, fn, a, b};
-  if (auto it = dedup_.find(n); it != dedup_.end()) {
-    return it->second;
+  // A hit writes nothing, so looking up existing nodes is read-only.
+  const std::size_t mask = dedup_.size() - 1;
+  std::size_t i = hash(n) & mask;
+  for (; dedup_[i] != kNoExpr; i = (i + 1) & mask) {
+    if (nodes_[dedup_[i]] == n) {
+      return dedup_[i];
+    }
   }
+  const ExprId id = static_cast<ExprId>(nodes_.size());
   nodes_.push_back(n);
-  const ExprId id = static_cast<ExprId>(nodes_.size() - 1);
-  dedup_.emplace(n, id);
+  if (2 * nodes_.size() > dedup_.size()) {
+    grow_dedup();  // re-inserts the new node as well
+  } else {
+    dedup_[i] = id;
+  }
   return id;
 }
 
@@ -205,30 +231,64 @@ void Pool::free_syms(ExprId id, std::vector<SymbolId>& out) const {
   out.erase(std::unique(out.begin(), out.end()), out.end());
 }
 
-ExprId Pool::substitute(ExprId id, SymbolId from, ExprId to) {
-  std::unordered_map<SymbolId, ExprId> map{{from, to}};
-  return substitute(id, map);
+namespace {
+
+// substitute()'s memo, one per thread: value[id] is valid iff epoch_of[id]
+// is the current pass's epoch. Sized to the pool at the start of a pass;
+// nodes the pass creates are never looked up.
+struct SubstituteScratch {
+  std::vector<std::uint32_t> epoch_of;
+  std::vector<ExprId> value;
+  std::uint32_t epoch = 0;
+  int holds = 0;
+};
+
+thread_local SubstituteScratch t_scratch;
+
+}  // namespace
+
+Pool::ScratchScope::ScratchScope() { ++t_scratch.holds; }
+
+Pool::ScratchScope::~ScratchScope() {
+  if (--t_scratch.holds == 0) {
+    std::vector<std::uint32_t>().swap(t_scratch.epoch_of);
+    std::vector<ExprId>().swap(t_scratch.value);
+  }
 }
 
-ExprId Pool::substitute(ExprId id,
-                        const std::unordered_map<SymbolId, ExprId>& map) {
-  std::unordered_map<ExprId, ExprId> memo;
+template <class Lookup>
+ExprId Pool::substitute_with(ExprId id, const Lookup& lookup) {
+  substitute_passes_.fetch_add(1, std::memory_order_relaxed);
+  ScratchScope hold;
+  SubstituteScratch& m = t_scratch;
+  if (m.epoch_of.size() < nodes_.size()) {
+    m.epoch_of.resize(nodes_.size(), 0);
+    m.value.resize(nodes_.size(), kNoExpr);
+  }
+  if (++m.epoch == 0) {  // wrapped: forget every stale stamp
+    std::fill(m.epoch_of.begin(), m.epoch_of.end(), 0);
+    m.epoch = 1;
+  }
+  const std::uint32_t epoch = m.epoch;
+  auto memoize = [&m, epoch](ExprId at, ExprId value) {
+    m.epoch_of[at] = epoch;
+    m.value[at] = value;
+  };
   // Iterative post-order rebuild. Children are rebuilt before parents.
   std::vector<std::pair<ExprId, bool>> stack{{id, false}};
   while (!stack.empty()) {
     auto [cur, ready] = stack.back();
     stack.pop_back();
-    if (memo.count(cur)) {
+    if (m.epoch_of[cur] == epoch) {
       continue;
     }
     const Node n = nodes_[cur];  // copy: nodes_ may grow below
     if (n.op == Op::kConst) {
-      memo[cur] = cur;
+      memoize(cur, cur);
       continue;
     }
     if (n.op == Op::kSym) {
-      auto it = map.find(static_cast<SymbolId>(n.a));
-      memo[cur] = (it == map.end()) ? cur : it->second;
+      memoize(cur, lookup(static_cast<SymbolId>(n.a), cur));
       continue;
     }
     if (!ready) {
@@ -238,12 +298,26 @@ ExprId Pool::substitute(ExprId id,
         stack.push_back({n.b, false});
       }
     } else {
-      const ExprId na = memo.at(n.a);
-      const ExprId nb = has_two_children(n.op) ? memo.at(n.b) : kNoExpr;
-      memo[cur] = intern(n.op, n.fn, na, nb);
+      const ExprId na = m.value[n.a];
+      const ExprId nb = has_two_children(n.op) ? m.value[n.b] : kNoExpr;
+      memoize(cur, intern(n.op, n.fn, na, nb));
     }
   }
-  return memo.at(id);
+  return m.value[id];
+}
+
+ExprId Pool::substitute(ExprId id, SymbolId from, ExprId to) {
+  return substitute_with(id, [from, to](SymbolId s, ExprId self) {
+    return s == from ? to : self;
+  });
+}
+
+ExprId Pool::substitute(ExprId id,
+                        const std::unordered_map<SymbolId, ExprId>& map) {
+  return substitute_with(id, [&map](SymbolId s, ExprId self) {
+    auto it = map.find(s);
+    return it == map.end() ? self : it->second;
+  });
 }
 
 }  // namespace omx::expr

@@ -11,6 +11,7 @@
 // substitute) build new nodes in the same pool.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -124,23 +125,54 @@ class Pool {
   void free_syms(ExprId id, std::vector<SymbolId>& out) const;
 
   /// Replaces every occurrence of symbol `from` with expression `to`.
+  /// A pass for a symbol that does not occur in `id` creates no node.
   ExprId substitute(ExprId id, SymbolId from, ExprId to);
 
   /// Replaces symbols per `map` (missing symbols stay). One simultaneous pass.
   ExprId substitute(ExprId id,
                     const std::unordered_map<SymbolId, ExprId>& map);
 
+  /// Number of substitute() passes run on this pool so far (a work
+  /// counter for the compile-scaling bench).
+  std::size_t substitute_passes() const {
+    return substitute_passes_.load(std::memory_order_relaxed);
+  }
+
+  /// substitute() memoizes in a dense, epoch-stamped table indexed by
+  /// ExprId, owned by the calling thread. A scope keeps that table
+  /// allocated across the passes the thread runs inside it (an inlining
+  /// pass, one emitter), so they share one allocation; the storage is
+  /// released when the thread's outermost scope ends. A substitute()
+  /// call outside any scope allocates and releases it.
+  class ScratchScope {
+   public:
+    ScratchScope();
+    ~ScratchScope();
+    ScratchScope(const ScratchScope&) = delete;
+    ScratchScope& operator=(const ScratchScope&) = delete;
+  };
+
  private:
   ExprId intern(Op op, std::uint8_t fn, ExprId a, ExprId b);
 
-  struct NodeHash {
-    std::size_t operator()(const Node& n) const;
-  };
+  template <class Lookup>
+  ExprId substitute_with(ExprId id, const Lookup& lookup);
+
+  static std::size_t hash(const Node& n);
+  /// Doubles the dedup table and re-inserts every node.
+  void grow_dedup();
 
   std::vector<Node> nodes_;
   std::vector<double> consts_;
-  std::unordered_map<Node, ExprId, NodeHash> dedup_;
+  // Hash-consing index: open addressing with linear probing over node
+  // ids (kNoExpr = empty slot), power-of-two sized and kept at most half
+  // full. Four bytes per slot instead of a heap-allocated map entry per
+  // node.
+  std::vector<ExprId> dedup_ = std::vector<ExprId>(64, kNoExpr);
   std::unordered_map<std::uint64_t, std::uint32_t> const_index_;  // bits->idx
+  // Atomic so concurrent renaming passes over an existing expression
+  // (which intern nothing) stay race-free.
+  std::atomic<std::size_t> substitute_passes_{0};
 };
 
 }  // namespace omx::expr

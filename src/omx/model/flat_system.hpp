@@ -7,6 +7,7 @@
 // analysis, code generation, solvers).
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -40,6 +41,19 @@ struct FlatEvent {
   expr::ExprId guard = expr::kNoExpr;
   int direction = 0;  // +1 up (rising), -1 down (falling), 0 cross
   std::vector<std::pair<SymbolId, expr::ExprId>> resets;
+};
+
+/// Per-system state of codegen::inline_algebraics (see there). Built by
+/// finalize(); the memo stays valid for the life of the system because
+/// the pool is append-only and the algebraics are frozen.
+struct InlineCache {
+  /// deps[j]: indices of the algebraics that algebraics()[j].rhs reads.
+  std::vector<std::vector<std::uint32_t>> deps;
+  /// Input ExprId -> inlined ExprId of every finished inlining.
+  std::unordered_map<expr::ExprId, expr::ExprId> memo;
+  /// Epoch-stamped visit marks over the algebraics (closure gathering).
+  std::vector<std::uint32_t> marks;
+  std::uint32_t epoch = 0;
 };
 
 class FlatSystem {
@@ -81,6 +95,10 @@ class FlatSystem {
   bool is_parameter(SymbolId s) const { return param_value_.count(s) != 0; }
   double parameter_value(SymbolId s) const;
 
+  /// The algebraic inliner's state; mutable through a const system
+  /// because inlining only memoizes (see codegen::inline_algebraics).
+  InlineCache& inline_cache() const { return inline_cache_; }
+
   /// Human-readable state name.
   const std::string& state_name(std::size_t i) const;
 
@@ -113,6 +131,7 @@ class FlatSystem {
   std::unordered_map<SymbolId, int> state_index_;
   std::unordered_map<SymbolId, int> algebraic_index_;
   std::unordered_map<SymbolId, double> param_value_;
+  mutable InlineCache inline_cache_;
   bool finalized_ = false;
 };
 

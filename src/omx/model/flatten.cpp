@@ -113,6 +113,7 @@ void FlatSystem::finalize() {
   //    (the paper's code generator likewise accepts explicit form only).
   const std::size_t na = algebraics_.size();
   std::vector<std::vector<std::size_t>> users(na);
+  std::vector<std::vector<std::uint32_t>> deps(na);
   std::vector<std::size_t> indeg(na, 0);
   for (std::size_t j = 0; j < na; ++j) {
     std::vector<SymbolId> syms;
@@ -120,6 +121,7 @@ void FlatSystem::finalize() {
     for (SymbolId s : syms) {
       if (auto it = algebraic_index_.find(s); it != algebraic_index_.end()) {
         users[static_cast<std::size_t>(it->second)].push_back(j);
+        deps[j].push_back(static_cast<std::uint32_t>(it->second));
         ++indeg[j];
       }
     }
@@ -132,9 +134,11 @@ void FlatSystem::finalize() {
   }
   std::vector<FlatAlgebraic> ordered;
   ordered.reserve(na);
+  std::vector<std::uint32_t> position(na);  // old index -> sorted index
   while (!ready.empty()) {
     const std::size_t j = ready.front();
     ready.pop_front();
+    position[j] = static_cast<std::uint32_t>(ordered.size());
     ordered.push_back(algebraics_[j]);
     for (std::size_t u : users[j]) {
       if (--indeg[u] == 0) {
@@ -156,6 +160,14 @@ void FlatSystem::finalize() {
   algebraic_index_.clear();
   for (std::size_t j = 0; j < na; ++j) {
     algebraic_index_.emplace(algebraics_[j].name, static_cast<int>(j));
+  }
+  inline_cache_.deps.assign(na, {});
+  inline_cache_.marks.assign(na, 0);
+  for (std::size_t j = 0; j < na; ++j) {
+    std::vector<std::uint32_t>& d = inline_cache_.deps[position[j]];
+    for (std::uint32_t k : deps[j]) {
+      d.push_back(position[k]);
+    }
   }
 
   finalized_ = true;
@@ -236,6 +248,8 @@ class Flattener {
       : m_(m), ctx_(m.ctx()), flat_(m.ctx()) {}
 
   FlatSystem run() {
+    // Every substitution below shares one memo allocation.
+    expr::Pool::ScratchScope scratch;
     for (const Instance& inst : m_.instances()) {
       if (inst.is_array) {
         for (int i = inst.lo; i <= inst.hi; ++i) {

@@ -102,6 +102,14 @@ class Span {
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
+  /// Renames a live span, e.g. to tag how it ended (no-op while the
+  /// buffer is inactive).
+  void set_name(std::string_view name) {
+    if (live_) {
+      name_ = name;
+    }
+  }
+
   /// Ends the span early (idempotent).
   void close() {
     if (live_) {

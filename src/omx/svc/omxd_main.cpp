@@ -5,8 +5,14 @@
 // shutdown it writes the obs metrics snapshot and the per-session
 // service report so the run leaves artifacts behind:
 //
-//   omxd --port 0 --executors 2 --queue-cap 8 \
+//   omxd --port 0 --executors 2 --queue-cap 8
 //        --metrics svc_metrics.json --service-json svc_service.json
+//
+// SIGTERM and SIGINT are blocked before any thread starts, so every
+// server thread inherits the mask and only main's sigwait() takes them;
+// a process-directed signal can never land on a worker thread.
+#include <pthread.h>
+
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -19,10 +25,6 @@
 #include "omx/tune/autotuner.hpp"
 
 namespace {
-
-volatile std::sig_atomic_t g_stop = 0;
-
-void on_signal(int) { g_stop = 1; }
 
 int usage(const char* argv0) {
   std::fprintf(
@@ -38,6 +40,12 @@ int usage(const char* argv0) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  sigset_t stop_signals;
+  sigemptyset(&stop_signals);
+  sigaddset(&stop_signals, SIGTERM);
+  sigaddset(&stop_signals, SIGINT);
+  pthread_sigmask(SIG_BLOCK, &stop_signals, nullptr);
+
   omx::svc::ServerOptions opts;
   std::string metrics_path;
   std::string service_path;
@@ -88,13 +96,8 @@ int main(int argc, char** argv) {
   std::printf("omxd listening on %u\n", server.port());
   std::fflush(stdout);
 
-  std::signal(SIGTERM, on_signal);
-  std::signal(SIGINT, on_signal);
-  sigset_t mask;
-  sigemptyset(&mask);
-  while (g_stop == 0) {
-    sigsuspend(&mask);  // sleeps until any signal is delivered
-  }
+  int sig = 0;
+  sigwait(&stop_signals, &sig);
 
   std::printf("omxd shutting down\n");
   server.stop();

@@ -8,7 +8,6 @@
 
 #include <cmath>
 #include <random>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -16,59 +15,12 @@
 #include "omx/ode/solve.hpp"
 #include "omx/parser/parser.hpp"
 #include "omx/pipeline/pipeline.hpp"
+#include "random_when_model.hpp"
 
 namespace omx::ode {
 namespace {
 
-// --------------------------------------------- random source generator
-
-/// Random guard/reset expression over the model's two states and one
-/// parameter: small depth, sin/cos heavy so guards actually cross.
-std::string rand_expr(std::mt19937& rng, int depth) {
-  std::uniform_int_distribution<int> pick(0, depth <= 0 ? 3 : 6);
-  std::uniform_real_distribution<double> c(-2.0, 2.0);
-  switch (pick(rng)) {
-    case 0: return "x";
-    case 1: return "v";
-    case 2: return "a";
-    case 3: {
-      std::ostringstream os;
-      os << c(rng);
-      return os.str();
-    }
-    case 4: return "sin(" + rand_expr(rng, depth - 1) + ")";
-    case 5: return "(" + rand_expr(rng, depth - 1) + " + " +
-                   rand_expr(rng, depth - 1) + ")";
-    default: return "(" + rand_expr(rng, depth - 1) + " * " +
-                    rand_expr(rng, depth - 1) + ")";
-  }
-}
-
-/// A damped oscillator carrying `count` random when clauses. Resets only
-/// touch v (bounded dynamics either way) and keep magnitudes small.
-std::string rand_model_source(std::mt19937& rng, std::size_t count) {
-  static const char* dirs[] = {"", "up ", "down ", "cross "};
-  std::string src =
-      "model M\n"
-      "  class A\n"
-      "    param a = 0.3;\n"
-      "    var x start 1;\n"
-      "    var v start 0;\n"
-      "    eq der(x) == v;\n"
-      "    eq der(v) == -x - a*v;\n";
-  std::uniform_int_distribution<int> dir(0, 3);
-  std::uniform_int_distribution<int> two(0, 1);
-  for (std::size_t k = 0; k < count; ++k) {
-    src += "    when " + std::string(dirs[dir(rng)]) +
-           rand_expr(rng, 2) + " then v = " +
-           (two(rng) ? "0.5 * v" : "v - 0.01") + ";\n";
-  }
-  src +=
-      "  end\n"
-      "  instance m : A;\n"
-      "end\n";
-  return src;
-}
+using testgen::rand_model_source;
 
 TEST(EventProperty, RandomWhenGrammarsNeverCrash) {
   std::mt19937 rng(20260807);

@@ -4,17 +4,24 @@
 // sockets for the malformed-input paths a well-behaved client can't
 // produce. The SvcStress suite is the high-contention configuration the
 // TSan CI pass runs (8 client threads submitting and cancelling against
-// the shared daemon state).
+// the shared daemon state). SvcDaemon boots the real omxd binary.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <signal.h>
+#include <spawn.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -521,6 +528,107 @@ TEST(SvcStress, ConcurrentSubmitCancelEightClients) {
   // Slow jobs only end by cancellation, so at least one must land even
   // under scheduler noise (kClients * kJobs / 2 are flagged).
   EXPECT_GT(cancelled_count.load(), 0);
+}
+
+// ------------------------------------------------------------ omxd binary
+
+/// SigBlk mask of one thread, from /proc/<pid>/task/<tid>/status.
+unsigned long long blocked_signals(const std::filesystem::path& status) {
+  std::ifstream in(status);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("SigBlk:", 0) == 0) {
+      return std::stoull(line.substr(7), nullptr, 16);
+    }
+  }
+  ADD_FAILURE() << "no SigBlk line in " << status;
+  return 0;
+}
+
+// A process-directed SIGTERM may be delivered to any thread that does not
+// block it. omxd must block it in every server thread, so main's wait
+// always takes it and the daemon shuts down with its artifacts written.
+TEST(SvcDaemon, SigtermIsBlockedInWorkerThreadsAndShutsDown) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("omxd_sigterm_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  const std::string metrics = (dir / "metrics.json").string();
+  const std::string service = (dir / "service.json").string();
+
+  int out[2];
+  ASSERT_EQ(::pipe(out), 0);
+  posix_spawn_file_actions_t actions;
+  posix_spawn_file_actions_init(&actions);
+  posix_spawn_file_actions_adddup2(&actions, out[1], STDOUT_FILENO);
+  posix_spawn_file_actions_addclose(&actions, out[0]);
+  // Start the daemon with nothing blocked, whatever this process blocks.
+  posix_spawnattr_t attr;
+  posix_spawnattr_init(&attr);
+  sigset_t none;
+  sigemptyset(&none);
+  posix_spawnattr_setsigmask(&attr, &none);
+  posix_spawnattr_setflags(&attr, POSIX_SPAWN_SETSIGMASK);
+  std::vector<std::string> args{OMX_OMXD_PATH, "--port", "0",
+                                "--interp", "--executors", "2",
+                                "--metrics", metrics,
+                                "--service-json", service};
+  std::vector<char*> argv;
+  for (std::string& a : args) {
+    argv.push_back(a.data());
+  }
+  argv.push_back(nullptr);
+  pid_t pid = -1;
+  const int rc = posix_spawn(&pid, OMX_OMXD_PATH, &actions, &attr,
+                             argv.data(), environ);
+  posix_spawn_file_actions_destroy(&actions);
+  posix_spawnattr_destroy(&attr);
+  ::close(out[1]);
+  ASSERT_EQ(rc, 0) << "cannot spawn " << OMX_OMXD_PATH;
+
+  // The port line is printed after start(): every server thread exists.
+  std::string banner;
+  char c = 0;
+  while (::read(out[0], &c, 1) == 1 && c != '\n') {
+    banner += c;
+  }
+  EXPECT_EQ(banner.rfind("omxd listening on", 0), 0u) << banner;
+
+  std::size_t workers = 0;
+  const unsigned long long sigterm_bit = 1ull << (SIGTERM - 1);
+  for (const auto& task :
+       fs::directory_iterator("/proc/" + std::to_string(pid) + "/task")) {
+    if (task.path().filename() == std::to_string(pid)) {
+      continue;  // main thread: blocks it too, and sigwait()s on it
+    }
+    ++workers;
+    EXPECT_NE(blocked_signals(task.path() / "status") & sigterm_bit, 0u)
+        << "thread " << task.path().filename() << " can take SIGTERM";
+  }
+  EXPECT_GT(workers, 0u) << "omxd started no server threads";
+
+  ASSERT_EQ(::kill(pid, SIGTERM), 0);
+  int status = 0;
+  bool exited = false;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (std::chrono::steady_clock::now() < deadline) {
+    if (::waitpid(pid, &status, WNOHANG) == pid) {
+      exited = true;
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  if (!exited) {
+    ::kill(pid, SIGKILL);
+    ::waitpid(pid, &status, 0);
+  }
+  ::close(out[0]);  // only now: the daemon logs its shutdown to stdout
+  ASSERT_TRUE(exited) << "omxd ignored SIGTERM for 5 s";
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  EXPECT_GT(fs::file_size(metrics), 0u);
+  EXPECT_GT(fs::file_size(service), 0u);
+  fs::remove_all(dir);
 }
 
 }  // namespace
