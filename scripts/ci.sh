@@ -80,6 +80,8 @@ if command -v ccache >/dev/null 2>&1; then
 else
   echo "ccache:     not installed"
 fi
+# Size of src/ (ROADMAP aim 2), counted as CHANGES.md counts it.
+echo "src lines:  $(git ls-files src 2>/dev/null | xargs -r cat | wc -l)"
 
 # Fail fast with an actionable message when configure dies (missing
 # compiler, broken toolchain probe) instead of letting the build step

@@ -296,12 +296,6 @@ SolverStats adams_pece(const Problem& p, const AdamsOptions& opts,
   return stats;
 }
 
-Solution adams_pece(const Problem& p, const AdamsOptions& opts) {
-  SolutionSink sink;
-  adams_pece(p, opts, sink);
-  return sink.take();
-}
-
 }  // namespace detail
 
 }  // namespace omx::ode

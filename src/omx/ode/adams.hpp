@@ -78,8 +78,6 @@ namespace detail {
 /// `scenario`; the returned statistics are also delivered via finish().
 SolverStats adams_pece(const Problem& p, const AdamsOptions& opts,
                        TrajectorySink& sink, std::uint32_t scenario = 0);
-/// Compatibility wrapper: collects the stream into a Solution.
-Solution adams_pece(const Problem& p, const AdamsOptions& opts);
 }  // namespace detail
 
 }  // namespace omx::ode

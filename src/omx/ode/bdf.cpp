@@ -386,12 +386,6 @@ SolverStats bdf(const Problem& p, const BdfOptions& opts,
   return stats;
 }
 
-Solution bdf(const Problem& p, const BdfOptions& opts) {
-  SolutionSink sink;
-  bdf(p, opts, sink);
-  return sink.take();
-}
-
 }  // namespace detail
 
 }  // namespace omx::ode

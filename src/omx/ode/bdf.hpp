@@ -96,8 +96,6 @@ namespace detail {
 /// `scenario`; the returned statistics are also delivered via finish().
 SolverStats bdf(const Problem& p, const BdfOptions& opts,
                 TrajectorySink& sink, std::uint32_t scenario = 0);
-/// Compatibility wrapper: collects the stream into a Solution.
-Solution bdf(const Problem& p, const BdfOptions& opts);
 }  // namespace detail
 
 }  // namespace omx::ode

@@ -3,21 +3,18 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <exception>
 #include <mutex>
 #include <optional>
 #include <thread>
-#include <utility>
 #include <vector>
 
-#include "omx/la/matrix.hpp"
 #include "omx/obs/recorder.hpp"
 #include "omx/obs/registry.hpp"
 #include "omx/obs/trace.hpp"
-#include "omx/ode/events.hpp"
 #include "omx/ode/jacobian.hpp"
+#include "omx/ode/lane_stepper.hpp"
 #include "omx/runtime/task_deque.hpp"
 #include "omx/sched/lpt.hpp"
 #include "omx/support/simd.hpp"
@@ -88,617 +85,57 @@ obs::Counter& lanes_event_stopped_counter() {
   return c;
 }
 
-// ---------------------------------------------------------- batched RHS
+// ------------------------------------------------------- lane accounting
 
-/// Uniform batched view over a Problem: dispatches to the bound batched
-/// kernel when present, otherwise gathers/scatters lane-by-lane through
-/// the scalar rhs (in which case concurrent workers require a
-/// thread-safe rhs; pure function callables are, shared-workspace
-/// kernels are not — those always bind batch_rhs).
-class BatchEval {
+/// The ensemble side of one worker's stepper: lane accounting that a
+/// plain solve never touches. Trajectories stream to the caller's
+/// TrajectorySink; nothing is accumulated solver-side.
+class LaneAccounting final : public LaneOwner {
  public:
-  BatchEval(const Problem& p, std::size_t lane) : p_(&p), lane_(lane) {
-    if (!p.batch_rhs) {
-      y_.resize(p.n);
-      f_.resize(p.n);
-    }
+  LaneAccounting(const char* method, std::atomic<std::int64_t>& active,
+                 std::atomic<std::uint64_t>& total_rhs)
+      : method_(method), active_(active), total_rhs_(total_rhs) {}
+
+  /// A scenario entering a batch: at the first fill, or as a refill of a
+  /// lane freed mid-run.
+  void added(std::uint32_t scenario, bool refill, double t0) {
+    obs::record_lane(refill ? obs::StepEventKind::kLaneRefill
+                            : obs::StepEventKind::kLanePack,
+                     method_, scenario, t0);
+    move_active(1);
   }
 
-  void operator()(std::size_t nb, const double* ts, const double* y_soa,
-                  double* ydot_soa) {
-    if (p_->batch_rhs) {
-      p_->batch_rhs(lane_, nb, ts, y_soa, ydot_soa);
-      return;
-    }
-    const std::size_t n = p_->n;
-    for (std::size_t j = 0; j < nb; ++j) {
-      for (std::size_t i = 0; i < n; ++i) {
-        y_[i] = y_soa[i * nb + j];
-      }
-      p_->rhs(ts[j], y_, f_);
-      for (std::size_t i = 0; i < n; ++i) {
-        ydot_soa[i * nb + j] = f_[i];
-      }
-    }
-  }
-
- private:
-  const Problem* p_;
-  std::size_t lane_;
-  simd::aligned_vector<double> y_, f_;  // scalar-fallback scratch
-};
-
-void pack_col(std::span<const double> v, double* soa, std::size_t nb,
-              std::size_t j) {
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    soa[i * nb + j] = v[i];
-  }
-}
-
-void unpack_col(const double* soa, std::size_t nb, std::size_t j,
-                std::span<double> v) {
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    v[i] = soa[i * nb + j];
-  }
-}
-
-[[noreturn]] void throw_nonfinite(const char* method, double t) {
-  throw omx::Error(std::string(method) +
-                   ": non-finite state or RHS at t = " + std::to_string(t));
-}
-
-// ----------------------------------------------------------- steppers
-//
-// Each stepper integrates a set of lanes (scenarios) in lockstep: one
-// round() = one step attempt for every lane, with all RHS evaluations
-// fused into batched calls. The per-lane arithmetic — stage updates,
-// error norms, controller decisions — is written to mirror the scalar
-// drivers (fixed_step.cpp, dopri5.cpp) operation for operation, which
-// together with kernel lane-independence makes every lane's trajectory
-// bitwise equal to a plain ode::solve of the same scenario.
-
-/// Shared per-scenario retirement plumbing. Trajectories stream to the
-/// caller's TrajectorySink (one TrajectoryWriter per in-flight lane);
-/// nothing is accumulated solver-side.
-struct StepperBase {
-  const Problem& p;
-  const SolverOptions& o;
-  BatchEval rhs;
-  TrajectorySink* sink;
-  std::atomic<std::int64_t>* active_count;
-  std::atomic<std::uint64_t>* rhs_total;
-  const char* method_name = "ensemble";  // literal; set by derived ctors
-
-  StepperBase(const Problem& pp, const SolverOptions& oo, std::size_t lane,
-              TrajectorySink* out_sink, std::atomic<std::int64_t>* active,
-              std::atomic<std::uint64_t>* total_rhs)
-      : p(pp),
-        o(oo),
-        rhs(pp, lane),
-        sink(out_sink),
-        active_count(active),
-        rhs_total(total_rhs) {}
-
-  /// `at_event` marks a lane stopped early by a terminal event (t_stop
-  /// is its stop time); an ordinary retirement reached tend.
-  void retire(std::uint32_t scenario, TrajectoryWriter& rec,
-              const SolverStats& stats, bool at_event = false,
-              double t_stop = 0.0) {
-    publish_solver_stats(stats);
+  void retired(std::uint32_t scenario, const SolverStats& stats,
+               bool at_event, double t) override {
     obs::record_lane(at_event ? obs::StepEventKind::kLaneEventStop
                               : obs::StepEventKind::kLaneRetire,
-                     method_name, scenario, at_event ? t_stop : p.tend);
+                     method_, scenario, t);
     lanes_retired_counter().add();
     if (at_event) {
       lanes_event_stopped_counter().add();
     }
-    rec.finish(stats);
-    rhs_total->fetch_add(stats.rhs_calls, std::memory_order_relaxed);
-    active_count->fetch_sub(1, std::memory_order_relaxed);
-    active_gauge().set(
-        static_cast<double>(active_count->load(std::memory_order_relaxed)));
-  }
-
-  void on_add() {
-    active_count->fetch_add(1, std::memory_order_relaxed);
-    active_gauge().set(
-        static_cast<double>(active_count->load(std::memory_order_relaxed)));
+    total_rhs_.fetch_add(stats.rhs_calls, std::memory_order_relaxed);
+    move_active(-1);
   }
 
   /// A lane dropped by cancellation: its TrajectoryWriter abandons the
   /// partial chunk (the pool reclaims it) and finish() is never sent.
-  void abandon(std::uint32_t scenario, double t) {
-    obs::record_lane(obs::StepEventKind::kLaneCancel, method_name,
-                     scenario, t);
-    active_count->fetch_sub(1, std::memory_order_relaxed);
-    active_gauge().set(
-        static_cast<double>(active_count->load(std::memory_order_relaxed)));
-  }
-};
-
-/// kExplicitEuler / kRk4. All lanes share dt/t0/tend, so they take the
-/// same number of steps and retire together; the structure still handles
-/// mid-flight joins (a lane added later runs its own step counter).
-class FixedStepper : public StepperBase {
- public:
-  FixedStepper(const Problem& pp, const SolverOptions& oo, Method method,
-               std::size_t lane, TrajectorySink* out_sink,
-               std::atomic<std::int64_t>* active,
-               std::atomic<std::uint64_t>* total_rhs)
-      : StepperBase(pp, oo, lane, out_sink, active, total_rhs),
-        rk4_(method == Method::kRk4) {
-    method_name = rk4_ ? "rk4" : "explicit_euler";
-    OMX_REQUIRE(oo.dt > 0.0, "dt must be positive");
-    steps_ = static_cast<std::size_t>(
-        std::ceil((pp.tend - pp.t0) / oo.dt - 1e-12));
-  }
-
-  std::size_t active() const { return lanes_.size(); }
-
-  void add(std::uint32_t scenario, std::span<const double> y0) {
-    const std::size_t n = p.n;
-    Lane L;
-    L.scenario = scenario;
-    L.t = p.t0;
-    L.y.assign(y0.begin(), y0.end());
-    L.k1.resize(n);
-    if (rk4_) {
-      L.k2.resize(n);
-      L.k3.resize(n);
-      L.tmp.resize(n);
-    }
-    L.rec = TrajectoryWriter(*sink, scenario, n);
-    L.rec.append(L.t, L.y);
-    lanes_.push_back(std::move(L));
-    on_add();
-  }
-
-  void round() { rk4_ ? round_rk4() : round_euler(); }
-
-  std::size_t abandon_all() {
-    for (const Lane& L : lanes_) {
-      abandon(L.scenario, L.t);
-    }
-    const std::size_t n = lanes_.size();
-    lanes_.clear();
-    return n;
+  void abandoned(std::uint32_t scenario, double t) override {
+    obs::record_lane(obs::StepEventKind::kLaneCancel, method_, scenario, t);
+    lanes_cancelled_counter().add();
+    move_active(-1);
   }
 
  private:
-  struct Lane {
-    std::uint32_t scenario = 0;
-    double t = 0.0, h = 0.0;
-    std::size_t k = 0;  // completed steps
-    std::vector<double> y, k1, k2, k3, tmp;
-    TrajectoryWriter rec;
-    SolverStats stats;
-  };
-
-  void pack_states(std::size_t nb) {
-    ts_.resize(nb);
-    ybuf_.resize(p.n * nb);
-    fbuf_.resize(p.n * nb);
+  void move_active(std::int64_t delta) {
+    const std::int64_t now =
+        active_.fetch_add(delta, std::memory_order_relaxed) + delta;
+    active_gauge().set(static_cast<double>(now));
   }
 
-  void round_euler() {
-    const std::size_t nb = lanes_.size();
-    pack_states(nb);
-    for (std::size_t j = 0; j < nb; ++j) {
-      ts_[j] = lanes_[j].t;
-      pack_col(lanes_[j].y, ybuf_.data(), nb, j);
-    }
-    rhs(nb, ts_.data(), ybuf_.data(), fbuf_.data());
-    for (std::size_t j = 0; j < nb; ++j) {
-      Lane& L = lanes_[j];
-      unpack_col(fbuf_.data(), nb, j, L.k1);
-      const double h = std::min(o.dt, p.tend - L.t);
-      ++L.stats.rhs_calls;
-      for (std::size_t i = 0; i < p.n; ++i) {
-        L.y[i] += h * L.k1[i];
-      }
-      L.t += h;
-      finish_step(L, "explicit_euler");
-    }
-    compact();
-  }
-
-  void round_rk4() {
-    const std::size_t nb = lanes_.size();
-    pack_states(nb);
-    // k1 = f(t, y)
-    for (std::size_t j = 0; j < nb; ++j) {
-      Lane& L = lanes_[j];
-      L.h = std::min(o.dt, p.tend - L.t);
-      ts_[j] = L.t;
-      pack_col(L.y, ybuf_.data(), nb, j);
-    }
-    rhs(nb, ts_.data(), ybuf_.data(), fbuf_.data());
-    for (std::size_t j = 0; j < nb; ++j) {
-      unpack_col(fbuf_.data(), nb, j, lanes_[j].k1);
-    }
-    // k2 = f(t + h/2, y + h/2 k1)
-    for (std::size_t j = 0; j < nb; ++j) {
-      Lane& L = lanes_[j];
-      for (std::size_t i = 0; i < p.n; ++i) {
-        L.tmp[i] = L.y[i] + 0.5 * L.h * L.k1[i];
-      }
-      ts_[j] = L.t + 0.5 * L.h;
-      pack_col(L.tmp, ybuf_.data(), nb, j);
-    }
-    rhs(nb, ts_.data(), ybuf_.data(), fbuf_.data());
-    for (std::size_t j = 0; j < nb; ++j) {
-      unpack_col(fbuf_.data(), nb, j, lanes_[j].k2);
-    }
-    // k3 = f(t + h/2, y + h/2 k2)
-    for (std::size_t j = 0; j < nb; ++j) {
-      Lane& L = lanes_[j];
-      for (std::size_t i = 0; i < p.n; ++i) {
-        L.tmp[i] = L.y[i] + 0.5 * L.h * L.k2[i];
-      }
-      pack_col(L.tmp, ybuf_.data(), nb, j);
-    }
-    rhs(nb, ts_.data(), ybuf_.data(), fbuf_.data());
-    for (std::size_t j = 0; j < nb; ++j) {
-      unpack_col(fbuf_.data(), nb, j, lanes_[j].k3);
-    }
-    // k4 = f(t + h, y + h k3); reuses k1's slot order as the scalar
-    // driver does (k4 only feeds the closing combination).
-    for (std::size_t j = 0; j < nb; ++j) {
-      Lane& L = lanes_[j];
-      for (std::size_t i = 0; i < p.n; ++i) {
-        L.tmp[i] = L.y[i] + L.h * L.k3[i];
-      }
-      ts_[j] = L.t + L.h;
-      pack_col(L.tmp, ybuf_.data(), nb, j);
-    }
-    rhs(nb, ts_.data(), ybuf_.data(), fbuf_.data());
-    for (std::size_t j = 0; j < nb; ++j) {
-      Lane& L = lanes_[j];
-      unpack_col(fbuf_.data(), nb, j, L.tmp);  // k4
-      L.stats.rhs_calls += 4;
-      for (std::size_t i = 0; i < p.n; ++i) {
-        L.y[i] += L.h / 6.0 *
-                  (L.k1[i] + 2.0 * L.k2[i] + 2.0 * L.k3[i] + L.tmp[i]);
-      }
-      L.t += L.h;
-      finish_step(L, "rk4");
-    }
-    compact();
-  }
-
-  void finish_step(Lane& L, const char* method) {
-    ++L.stats.steps;
-    for (const double v : L.y) {
-      if (!std::isfinite(v)) {
-        throw_nonfinite(method, L.t);
-      }
-    }
-    if (L.k % o.record_every == o.record_every - 1 || L.k + 1 == steps_) {
-      L.rec.append(L.t, L.y);
-    }
-    ++L.k;
-  }
-
-  void compact() {
-    std::size_t w = 0;
-    for (std::size_t j = 0; j < lanes_.size(); ++j) {
-      if (lanes_[j].k >= steps_) {
-        retire(lanes_[j].scenario, lanes_[j].rec, lanes_[j].stats);
-      } else {
-        if (w != j) {
-          lanes_[w] = std::move(lanes_[j]);
-        }
-        ++w;
-      }
-    }
-    lanes_.resize(w);
-  }
-
-  bool rk4_;
-  std::size_t steps_ = 0;
-  std::vector<Lane> lanes_;
-  // SoA staging buffers (64-byte aligned per the simd.hpp contract; the
-  // batched kernels' lane loops vectorize over them).
-  simd::aligned_vector<double> ts_, ybuf_, fbuf_;
-};
-
-/// kDopri5: per-lane PI step control over batched stage evaluations.
-class Dopri5Stepper : public StepperBase {
- public:
-  Dopri5Stepper(const Problem& pp, const SolverOptions& oo, std::size_t lane,
-                TrajectorySink* out_sink, std::atomic<std::int64_t>* active,
-                std::atomic<std::uint64_t>* total_rhs)
-      : StepperBase(pp, oo, lane, out_sink, active, total_rhs) {
-    method_name = "dopri5";
-    hmax_ = oo.hmax > 0.0 ? oo.hmax : (pp.tend - pp.t0);
-  }
-
-  std::size_t active() const { return lanes_.size(); }
-
-  void add(std::uint32_t scenario, std::span<const double> y0) {
-    const std::size_t n = p.n;
-    Lane L;
-    L.scenario = scenario;
-    L.t = p.t0;
-    L.y.assign(y0.begin(), y0.end());
-    for (auto* v : {&L.k1, &L.k2, &L.k3, &L.k4, &L.k5, &L.k6, &L.k7,
-                    &L.ytmp, &L.yerr, &L.w}) {
-      v->resize(n);
-    }
-    L.events = EventHandler(p.events, n);
-    if (L.events.armed()) {
-      L.events.prime(L.t, L.y);
-    }
-    L.rec = TrajectoryWriter(*sink, scenario, n);
-    L.rec.append(L.t, L.y);
-    lanes_.push_back(std::move(L));
-    on_add();
-  }
-
-  void round() {
-    init_fresh();
-    const std::size_t nb = lanes_.size();
-    ts_.resize(nb);
-    ybuf_.resize(p.n * nb);
-    fbuf_.resize(p.n * nb);
-
-    for (Lane& L : lanes_) {
-      L.h = std::min(L.h, p.tend - L.t);
-    }
-    // Stages 2..6: ytmp = y + h * sum(coef * k); per-lane accumulation
-    // order matches the scalar driver's stage lambda.
-    stage(c2, [](Lane& L) { return Terms{{L.k1.data(), a21}}; },
-          [](Lane& L) { return L.k2.data(); });
-    stage(c3,
-          [](Lane& L) {
-            return Terms{{L.k1.data(), a31}, {L.k2.data(), a32}};
-          },
-          [](Lane& L) { return L.k3.data(); });
-    stage(c4,
-          [](Lane& L) {
-            return Terms{
-                {L.k1.data(), a41}, {L.k2.data(), a42}, {L.k3.data(), a43}};
-          },
-          [](Lane& L) { return L.k4.data(); });
-    stage(c5,
-          [](Lane& L) {
-            return Terms{{L.k1.data(), a51},
-                         {L.k2.data(), a52},
-                         {L.k3.data(), a53},
-                         {L.k4.data(), a54}};
-          },
-          [](Lane& L) { return L.k5.data(); });
-    stage(1.0,
-          [](Lane& L) {
-            return Terms{{L.k1.data(), a61},
-                         {L.k2.data(), a62},
-                         {L.k3.data(), a63},
-                         {L.k4.data(), a64},
-                         {L.k5.data(), a65}};
-          },
-          [](Lane& L) { return L.k6.data(); });
-    // 5th-order solution (FSAL: k7 = f at the new point).
-    for (std::size_t j = 0; j < nb; ++j) {
-      Lane& L = lanes_[j];
-      for (std::size_t i = 0; i < p.n; ++i) {
-        L.ytmp[i] = L.y[i] +
-                    L.h * (a71 * L.k1[i] + a73 * L.k3[i] + a74 * L.k4[i] +
-                           a75 * L.k5[i] + a76 * L.k6[i]);
-      }
-      ts_[j] = L.t + L.h;
-      pack_col(L.ytmp, ybuf_.data(), nb, j);
-    }
-    rhs(nb, ts_.data(), ybuf_.data(), fbuf_.data());
-    for (std::size_t j = 0; j < nb; ++j) {
-      unpack_col(fbuf_.data(), nb, j, lanes_[j].k7);
-    }
-
-    for (Lane& L : lanes_) {
-      control(L);
-    }
-    compact();
-  }
-
-  std::size_t abandon_all() {
-    for (const Lane& L : lanes_) {
-      abandon(L.scenario, L.t);
-    }
-    const std::size_t n = lanes_.size();
-    lanes_.clear();
-    return n;
-  }
-
- private:
-  struct Lane {
-    std::uint32_t scenario = 0;
-    double t = 0.0, h = 0.0, err_prev = 1.0;
-    bool fresh = true, done = false, event_stopped = false;
-    std::size_t recorded = 0, attempts = 0;
-    std::vector<double> y, k1, k2, k3, k4, k5, k6, k7, ytmp, yerr, w;
-    EventHandler events;  // per-lane guard-sign cache
-    TrajectoryWriter rec;
-    SolverStats stats;
-  };
-
-  using Terms = std::vector<std::pair<const double*, double>>;
-
-  template <typename MakeTerms, typename Dst>
-  void stage(double ci, MakeTerms make_terms, Dst dst) {
-    const std::size_t nb = lanes_.size();
-    for (std::size_t j = 0; j < nb; ++j) {
-      Lane& L = lanes_[j];
-      const Terms terms = make_terms(L);
-      for (std::size_t i = 0; i < p.n; ++i) {
-        double acc = L.y[i];
-        for (const auto& [vec, coef] : terms) {
-          acc += L.h * coef * vec[i];
-        }
-        L.ytmp[i] = acc;
-      }
-      ts_[j] = L.t + ci * L.h;
-      pack_col(L.ytmp, ybuf_.data(), nb, j);
-    }
-    rhs(nb, ts_.data(), ybuf_.data(), fbuf_.data());
-    for (std::size_t j = 0; j < nb; ++j) {
-      unpack_col(fbuf_.data(), nb, j, {dst(lanes_[j]), p.n});
-    }
-  }
-
-  /// First evaluation + automatic initial step for lanes that just
-  /// joined (Hairer's d0/d1 heuristic, as in the scalar driver).
-  void init_fresh() {
-    std::vector<std::size_t> fresh;
-    for (std::size_t j = 0; j < lanes_.size(); ++j) {
-      if (lanes_[j].fresh) {
-        fresh.push_back(j);
-      }
-    }
-    if (fresh.empty()) {
-      return;
-    }
-    const std::size_t nbf = fresh.size();
-    ts_.resize(nbf);
-    ybuf_.resize(p.n * nbf);
-    fbuf_.resize(p.n * nbf);
-    for (std::size_t j = 0; j < nbf; ++j) {
-      ts_[j] = lanes_[fresh[j]].t;
-      pack_col(lanes_[fresh[j]].y, ybuf_.data(), nbf, j);
-    }
-    rhs(nbf, ts_.data(), ybuf_.data(), fbuf_.data());
-    for (std::size_t j = 0; j < nbf; ++j) {
-      Lane& L = lanes_[fresh[j]];
-      unpack_col(fbuf_.data(), nbf, j, L.k1);
-      ++L.stats.rhs_calls;
-      double h = o.h0;
-      if (h <= 0.0) {
-        error_weights(L.y, o.tol, L.w);
-        const double d0 = la::wrms_norm(L.y, L.w);
-        const double d1 = la::wrms_norm(L.k1, L.w);
-        h = (d0 > 1e-5 && d1 > 1e-5) ? 0.01 * d0 / d1
-                                     : 1e-3 * (p.tend - p.t0);
-        h = std::min(h, hmax_);
-      }
-      L.h = h;
-      L.fresh = false;
-    }
-  }
-
-  void control(Lane& L) {
-    for (std::size_t i = 0; i < p.n; ++i) {
-      L.yerr[i] =
-          L.h * (e1 * L.k1[i] + e3 * L.k3[i] + e4 * L.k4[i] +
-                 e5 * L.k5[i] + e6 * L.k6[i] + e7 * L.k7[i]);
-    }
-    error_weights(L.ytmp, o.tol, L.w);
-    const double err = la::wrms_norm(L.yerr, L.w);
-    L.stats.rhs_calls += 6;
-    if (!std::isfinite(err)) {
-      throw_nonfinite("dopri5", L.t);
-    }
-    if (err <= 1.0) {
-      // Event check mirrors the scalar driver's accept branch exactly:
-      // at this point L.y/L.k1..L.k7 still hold the step's inputs and
-      // stages, L.ytmp the candidate new state — the dense-output
-      // construction and restart arithmetic are operation-for-operation
-      // identical, which preserves ensemble == scalar bitwise equality
-      // for hybrid scenarios.
-      EventHandler::Hit hit;
-      if (L.events.armed()) {
-        hit = L.events.check(L.t, L.t + L.h, L.ytmp, "dopri5", L.stats, [&] {
-          return DenseOutput::dopri5(L.t, L.h, L.y, L.ytmp, L.k1, L.k3,
-                                     L.k4, L.k5, L.k6, L.k7);
-        });
-      }
-      if (hit.fired) {
-        L.t = hit.t;
-        ++L.stats.steps;
-        ++L.recorded;
-        L.rec.append(L.t, L.events.pre_state());
-        std::copy(L.events.post_state().begin(),
-                  L.events.post_state().end(), L.y.begin());
-        L.rec.append(L.t, L.y);
-        if (hit.terminal) {
-          L.event_stopped = true;
-          L.done = true;
-        } else {
-          rhs(1, &L.t, L.y.data(), L.k1.data());
-          ++L.stats.rhs_calls;
-          L.h = event_restart_step(L.y, L.k1, o.tol, p.tend - p.t0, hmax_,
-                                   L.w);
-          L.err_prev = 1.0;
-        }
-      } else {
-        L.t += L.h;
-        L.y.swap(L.ytmp);
-        L.k1.swap(L.k7);  // FSAL
-        ++L.stats.steps;
-        ++L.recorded;
-        if (L.recorded % o.record_every == 0 || L.t >= p.tend) {
-          L.rec.append(L.t, L.y);
-        }
-        // PI controller (Gustafsson), as in the scalar driver.
-        const double err_clamped = std::max(err, 1e-10);
-        double fac = 0.9 * std::pow(err_clamped, -0.7 / 5.0) *
-                     std::pow(L.err_prev, 0.4 / 5.0);
-        fac = std::clamp(fac, 0.2, 5.0);
-        L.h = std::min(L.h * fac, hmax_);
-        L.err_prev = err_clamped;
-      }
-    } else {
-      ++L.stats.rejected;
-      const double fac = std::max(0.2, 0.9 * std::pow(err, -1.0 / 5.0));
-      L.h *= fac;
-      if (L.h < 1e-14 * std::max(1.0, std::fabs(L.t))) {
-        throw omx::Error("dopri5: step size underflow at t = " +
-                         std::to_string(L.t));
-      }
-    }
-    ++L.attempts;
-    if (L.t >= p.tend || L.done) {
-      L.done = true;
-    } else if (L.attempts >= o.max_steps) {
-      throw omx::Error("dopri5: max_steps exceeded before reaching tend");
-    }
-  }
-
-  void compact() {
-    std::size_t w = 0;
-    for (std::size_t j = 0; j < lanes_.size(); ++j) {
-      if (lanes_[j].done) {
-        retire(lanes_[j].scenario, lanes_[j].rec, lanes_[j].stats,
-               lanes_[j].event_stopped, lanes_[j].t);
-      } else {
-        if (w != j) {
-          lanes_[w] = std::move(lanes_[j]);
-        }
-        ++w;
-      }
-    }
-    lanes_.resize(w);
-  }
-
-  double hmax_ = 0.0;
-  std::vector<Lane> lanes_;
-  // SoA staging buffers (64-byte aligned per the simd.hpp contract).
-  simd::aligned_vector<double> ts_, ybuf_, fbuf_;
-
-  // Dormand & Prince RK5(4)7M coefficients (as in dopri5.cpp).
-  static constexpr double c2 = 1.0 / 5, c3 = 3.0 / 10, c4 = 4.0 / 5,
-                          c5 = 8.0 / 9;
-  static constexpr double a21 = 1.0 / 5;
-  static constexpr double a31 = 3.0 / 40, a32 = 9.0 / 40;
-  static constexpr double a41 = 44.0 / 45, a42 = -56.0 / 15, a43 = 32.0 / 9;
-  static constexpr double a51 = 19372.0 / 6561, a52 = -25360.0 / 2187,
-                          a53 = 64448.0 / 6561, a54 = -212.0 / 729;
-  static constexpr double a61 = 9017.0 / 3168, a62 = -355.0 / 33,
-                          a63 = 46732.0 / 5247, a64 = 49.0 / 176,
-                          a65 = -5103.0 / 18656;
-  static constexpr double a71 = 35.0 / 384, a73 = 500.0 / 1113,
-                          a74 = 125.0 / 192, a75 = -2187.0 / 6784,
-                          a76 = 11.0 / 84;
-  static constexpr double e1 = 71.0 / 57600, e3 = -71.0 / 16695,
-                          e4 = 71.0 / 1920, e5 = -17253.0 / 339200,
-                          e6 = 22.0 / 525, e7 = -1.0 / 40;
+  const char* method_;
+  std::atomic<std::int64_t>& active_;
+  std::atomic<std::uint64_t>& total_rhs_;
 };
 
 // ----------------------------------------------------------- scheduling
@@ -771,32 +208,37 @@ SolverStats solve_single(const Problem& p, Method method,
   return solve(q, method, opts, sink, scenario);
 }
 
-template <typename Stepper>
-void run_batched_worker(Stepper& st, WorkSource& ws, std::size_t w,
-                        std::size_t max_batch, const EnsembleSpec& spec) {
+/// One worker of the batched explicit methods: keeps up to `max_batch`
+/// lanes in its stepper, refilling retired lanes from the work source.
+void run_batched_worker(const Problem& p, Method method,
+                        const SolverOptions& opts, const EnsembleSpec& spec,
+                        TrajectorySink& sink, WorkSource& ws, std::size_t w,
+                        std::size_t max_batch,
+                        std::atomic<std::int64_t>& active,
+                        std::atomic<std::uint64_t>& total_rhs) {
+  LaneAccounting lanes(to_string(method), active, total_rhs);
+  const std::unique_ptr<LaneStepper> st =
+      make_lane_stepper(p, method, opts, sink, lanes, p.batch_rhs, w);
   std::uint32_t s = 0;
   bool mid_flight = false;  // has this batch taken a round yet?
   for (;;) {
-    if (st.o.cancel != nullptr &&
-        st.o.cancel->load(std::memory_order_relaxed)) {
-      lanes_cancelled_counter().add(st.abandon_all());
-      throw Cancelled(std::string(st.method_name) +
+    if (opts.cancel != nullptr &&
+        opts.cancel->load(std::memory_order_relaxed)) {
+      st->abandon_all();
+      throw Cancelled(std::string(st->method_name()) +
                       ": ensemble cancelled");
     }
-    while (st.active() < max_batch && ws.next(w, s)) {
-      obs::record_lane(mid_flight ? obs::StepEventKind::kLaneRefill
-                                  : obs::StepEventKind::kLanePack,
-                       st.method_name, s, st.p.t0);
-      st.add(s, spec.initial_states[s]);
+    while (st->active() < max_batch && ws.next(w, s)) {
+      lanes.added(s, mid_flight, p.t0);
+      st->add(s, spec.initial_states[s]);
     }
-    const std::size_t nb = st.active();
+    const std::size_t nb = st->active();
     if (nb == 0) {
-      mid_flight = false;
       break;
     }
     occupancy_hist().observe(static_cast<double>(nb));
     Stopwatch timer;
-    st.round();
+    st->round();
     // Per-lane share of the round: comparable across batch widths.
     lane_step_hist().observe(timer.seconds() / static_cast<double>(nb));
     mid_flight = true;
@@ -890,25 +332,15 @@ void solve_ensemble(const Problem& p, Method method,
   std::mutex err_mutex;
   std::exception_ptr first_error;
 
-  // Events shift a lane off the shared dt grid, which breaks the
-  // fixed-step lockstep assumption (all lanes share one step count) —
-  // hybrid euler/rk4 ensembles fall back to scenario-at-a-time. The
-  // dopri5 lanes already run per-lane step control and handle events
-  // natively.
-  const bool has_events = p.events != nullptr && !p.events->functions.empty();
-  const bool batched_method =
-      method == Method::kDopri5 ||
-      ((method == Method::kExplicitEuler || method == Method::kRk4) &&
-       !has_events);
+  const bool batched_method = method == Method::kExplicitEuler ||
+                              method == Method::kRk4 ||
+                              method == Method::kDopri5;
 
   auto worker = [&](std::size_t w) {
     try {
-      if (method == Method::kDopri5) {
-        Dopri5Stepper st(p, opts, w, &sink, &active, &total_rhs);
-        run_batched_worker(st, ws, w, max_batch, spec);
-      } else if (batched_method) {
-        FixedStepper st(p, opts, method, w, &sink, &active, &total_rhs);
-        run_batched_worker(st, ws, w, max_batch, spec);
+      if (batched_method) {
+        run_batched_worker(p, method, opts, spec, sink, ws, w, max_batch,
+                           active, total_rhs);
       } else {
         std::uint32_t s = 0;
         while (ws.next(w, s)) {

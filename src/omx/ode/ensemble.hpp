@@ -21,10 +21,12 @@
 //  * Finished scenarios retire from their batch immediately; the batch
 //    compacts and refills from the remaining queue (work stealing moves
 //    whole scenarios between workers).
-//  * kExplicitEuler / kRk4 / kDopri5 run fully batched. The multistep /
-//    stiff methods (kAdamsPece, kBdf, kLsodaLike) integrate scenario-at-
-//    a-time per worker, through the batched kernel at width 1 when one is
-//    bound (which keeps them thread-safe across workers).
+//  * kExplicitEuler / kRk4 / kDopri5 run fully batched, with or without
+//    events, on the same lane steppers plain ode::solve runs at width 1
+//    (ode/lane_stepper.hpp). The multistep / stiff methods (kAdamsPece,
+//    kBdf, kLsodaLike) integrate scenario-at-a-time per worker, through
+//    the batched kernel at width 1 when one is bound (which keeps them
+//    thread-safe across workers).
 #pragma once
 
 #include "omx/ode/solve.hpp"

@@ -1,5 +1,7 @@
 #include "omx/ode/events.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <limits>
 
 namespace omx::ode {

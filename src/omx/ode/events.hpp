@@ -17,15 +17,12 @@
 // each step instead of firing forever.
 #pragma once
 
-#include <algorithm>
-#include <cmath>
 #include <functional>
 #include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
-#include "omx/la/matrix.hpp"
 #include "omx/obs/recorder.hpp"
 #include "omx/ode/sink.hpp"
 
@@ -173,8 +170,8 @@ class EventHandler {
 
 /// Builds a cubic Hermite dense output over [t0, t1], evaluating the
 /// problem RHS at both endpoints (2 calls, counted into `stats`). Used
-/// by drivers without a natural interpolant for the jump at hand (fixed
-/// step, Adams steps and history rebuilds).
+/// by the Adams steps and history rebuilds, which have no natural
+/// interpolant for the jump at hand.
 inline DenseOutput hermite_by_rhs(const Problem& p, double t0,
                                   std::span<const double> y0, double t1,
                                   std::span<const double> y1,
@@ -184,21 +181,6 @@ inline DenseOutput hermite_by_rhs(const Problem& p, double t0,
   p.rhs(t1, y1, f1);
   stats.rhs_calls += 2;
   return DenseOutput::hermite(t0, y0, f0, t1, y1, f1);
-}
-
-/// Conservative step re-seed after an event restart (the same d0/d1
-/// heuristic the drivers use at t0), shared so the scalar dopri5 driver
-/// and the ensemble lanes stay operation-for-operation identical.
-inline double event_restart_step(std::span<const double> y,
-                                 std::span<const double> f,
-                                 const Tolerances& tol, double span_fallback,
-                                 double hmax, std::span<double> w) {
-  error_weights(y, tol, w);
-  const double d0 = la::wrms_norm(y, w);
-  const double d1 = la::wrms_norm(f, w);
-  const double h = (d0 > 1e-5 && d1 > 1e-5) ? 0.01 * d0 / d1
-                                            : 1e-3 * span_fallback;
-  return std::min(h, hmax);
 }
 
 /// Post-step event sweep shared by the multistep drivers (Adams, BDF,

@@ -7,9 +7,9 @@
 #include "omx/ode/adams.hpp"
 #include "omx/ode/auto_switch.hpp"
 #include "omx/ode/bdf.hpp"
-#include "omx/ode/dopri5.hpp"
-#include "omx/ode/fixed_step.hpp"
+#include "omx/obs/trace.hpp"
 #include "omx/ode/jacobian.hpp"
+#include "omx/ode/lane_stepper.hpp"
 #include "omx/support/timer.hpp"
 #include "omx/tune/autotuner.hpp"
 
@@ -47,29 +47,40 @@ struct StiffTuneScope {
   }
 };
 
+/// The explicit methods: their lane stepper with one lane over the
+/// scalar rhs (Problem::batch_rhs is for ensembles only).
+SolverStats solve_explicit(const Problem& p, Method method,
+                           const SolverOptions& o, TrajectorySink& sink,
+                           std::uint32_t scenario) {
+  struct Single final : LaneOwner {
+    SolverStats stats;
+    void retired(std::uint32_t, const SolverStats& s, bool,
+                 double) override {
+      stats = s;
+    }
+  };
+  p.validate();
+  obs::Span solve_span(to_string(method), "ode");
+  Single owner;
+  const std::unique_ptr<LaneStepper> stepper =
+      make_lane_stepper(p, method, o, sink, owner);
+  stepper->add(scenario, p.y0);
+  while (stepper->active() > 0) {
+    poll_cancel(o.cancel, to_string(method));
+    stepper->round();
+  }
+  return owner.stats;
+}
+
 }  // namespace
 
 SolverStats solve(const Problem& p, Method method, const SolverOptions& o,
                   TrajectorySink& sink, std::uint32_t scenario) {
   switch (method) {
-    case Method::kExplicitEuler: {
-      FixedStepOptions fo{o.dt, o.record_every, o.cancel};
-      return detail::explicit_euler(p, fo, sink, scenario);
-    }
-    case Method::kRk4: {
-      FixedStepOptions fo{o.dt, o.record_every, o.cancel};
-      return detail::rk4(p, fo, sink, scenario);
-    }
-    case Method::kDopri5: {
-      Dopri5Options d;
-      d.tol = o.tol;
-      d.h0 = o.h0;
-      d.hmax = o.hmax;
-      d.max_steps = o.max_steps;
-      d.record_every = o.record_every;
-      d.cancel = o.cancel;
-      return detail::dopri5(p, d, sink, scenario);
-    }
+    case Method::kExplicitEuler:
+    case Method::kRk4:
+    case Method::kDopri5:
+      return solve_explicit(p, method, o, sink, scenario);
     case Method::kAdamsPece: {
       AdamsOptions a;
       a.tol = o.tol;

@@ -1,7 +1,6 @@
 // Non-stiff solver suite: exactness on known solutions, convergence
 // orders, error control, and the Solution container. All solves go
-// through the unified ode::solve entry point; one test pins the
-// deprecated per-driver wrappers to the same results.
+// through the unified ode::solve entry point.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,11 +10,10 @@
 #include <algorithm>
 
 #include "omx/obs/recorder.hpp"
+#include "omx/obs/registry.hpp"
 #include "omx/ode/adams.hpp"
-#include "omx/ode/dopri5.hpp"
 #include "omx/ode/ensemble.hpp"
 #include "omx/ode/events.hpp"
-#include "omx/ode/fixed_step.hpp"
 #include "omx/ode/solve.hpp"
 
 namespace omx::ode {
@@ -210,22 +208,6 @@ TEST(Adams, StepperRestartWorks) {
   EXPECT_NEAR(st.y()[0], std::cos(10.0), 1e-4);
 }
 
-// ode::solve is the single public entry point (the historical
-// per-method wrappers are gone); its dispatch must reach the same
-// detail:: driver implementations bit for bit.
-TEST(SolveDispatch, MatchesDetailDrivers) {
-  const Problem p = oscillator(5.0);
-  FixedStepOptions fo{.dt = 1e-3};
-  const Solution direct = detail::rk4(p, fo);
-  const Solution unified = solve(p, Method::kRk4, with_dt(1e-3));
-  EXPECT_DOUBLE_EQ(direct.final_state()[0], unified.final_state()[0]);
-
-  Dopri5Options dopts;
-  const Solution dd = detail::dopri5(p, dopts);
-  const Solution du = solve(p, Method::kDopri5, {});
-  EXPECT_DOUBLE_EQ(dd.final_state()[0], du.final_state()[0]);
-}
-
 TEST(Solution, InterpolatesLinearly) {
   Solution s;
   const std::vector<double> a{0.0}, b{10.0};
@@ -335,6 +317,46 @@ TEST(Ensemble, OneScenarioDegeneratesToPlainSolve) {
     ASSERT_EQ(r.solutions.size(), 1u);
     expect_solutions_identical(plain, r.solutions[0]);
   }
+}
+
+TEST(Ensemble, PlainSolveIgnoresBatchKernelAndEnsembleMetrics) {
+  // ode::solve runs the ensemble's lane stepper at width 1, but over the
+  // scalar rhs: a bound batch_rhs is never called, and no ensemble.*
+  // metric moves (the gauge keeps a sentinel only solve_ensemble would
+  // overwrite).
+  obs::set_enabled(true);
+  obs::Registry& reg = obs::Registry::global();
+  obs::Counter& retired = reg.counter("ensemble.lanes_retired");
+  obs::Gauge& active = reg.gauge("ensemble.scenarios_active");
+  std::size_t batch_calls = 0;
+  Problem p = oscillator(3.0);
+  p.set_batch_rhs([&batch_calls](std::size_t, std::size_t nb,
+                                 const double*, const double* y,
+                                 double* f) {
+    ++batch_calls;
+    for (std::size_t j = 0; j < nb; ++j) {
+      f[j] = y[nb + j];
+      f[nb + j] = -y[j];
+    }
+  });
+  auto spec = std::make_shared<EventSpec>();
+  spec->functions.push_back(
+      {[](double, std::span<const double> y) { return y[0]; },
+       EventDirection::kBoth, nullptr, false, "x"});
+  for (const bool with_events : {false, true}) {
+    p.events = with_events ? spec : nullptr;
+    for (const Method m :
+         {Method::kExplicitEuler, Method::kRk4, Method::kDopri5}) {
+      const std::uint64_t retired0 = retired.value();
+      active.set(42.0);
+      const Solution s = solve(p, m, with_dt(1e-2));
+      EXPECT_EQ(s.stats.events, with_events ? 1u : 0u) << to_string(m);
+      EXPECT_EQ(batch_calls, 0u) << to_string(m);
+      EXPECT_EQ(retired.value(), retired0) << to_string(m);
+      EXPECT_EQ(active.value(), 42.0) << to_string(m);
+    }
+  }
+  active.set(0.0);
 }
 
 TEST(Ensemble, ScenariosMatchIndividualSolves) {
