@@ -2,9 +2,8 @@
 // supervisor/worker runtime with tracing on, and dumps
 //   * a Chrome trace_event JSON (open in chrome://tracing or
 //     https://ui.perfetto.dev) with one track per worker showing task
-//     spans, idle gaps, the supervisor's scatter/gather phases,
-//     per-worker utilization counter tracks (when OMX_OBS_SAMPLE_HZ or
-//     --sample-hz is set), and named process/thread rows,
+//     spans, the supervisor's scatter/gather phases, and named
+//     process/thread rows (worker 0's tasks run on the supervisor),
 //   * the text metrics summary (RHS calls, messages, bytes, reschedules,
 //     histogram percentiles),
 //   * with --profile: the aggregated span profile (text to stdout, JSON
@@ -36,9 +35,9 @@ int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--model bearing2d|hydro|heat1d] [--workers N]\n"
                "          [--evals N] [--out trace.json]\n"
-               "          [--sample-hz HZ] [--profile profile.json]\n"
-               "          [--recorder recorder.json]"
-               " [--metrics metrics.json]\n"
+               "          [--profile profile.json]"
+               " [--recorder recorder.json]\n"
+               "          [--metrics metrics.json]\n"
                "       %s --config   (list every OMX_* env knob and its\n"
                "                      current value, then exit)\n",
                argv0,
@@ -69,7 +68,6 @@ int main(int argc, char** argv) {
   std::string model = "bearing2d";
   std::size_t workers = 4;
   std::size_t evals = 64;
-  double sample_hz = -1.0;  // <0: leave the env/option default alone
   std::string out_path = "trace.json";
   std::string profile_path;
   std::string recorder_path;
@@ -92,8 +90,6 @@ int main(int argc, char** argv) {
       workers = static_cast<std::size_t>(std::atoi(next("--workers")));
     } else if (std::strcmp(argv[i], "--evals") == 0) {
       evals = static_cast<std::size_t>(std::atoi(next("--evals")));
-    } else if (std::strcmp(argv[i], "--sample-hz") == 0) {
-      sample_hz = std::atof(next("--sample-hz"));
     } else if (std::strcmp(argv[i], "--out") == 0) {
       out_path = next("--out");
     } else if (std::strcmp(argv[i], "--profile") == 0) {
@@ -146,9 +142,6 @@ int main(int argc, char** argv) {
   runtime::ParallelRhsOptions popts;
   popts.pool.num_workers = workers;
   popts.sched.reschedule_period = 16;
-  if (sample_hz >= 0.0) {
-    popts.pool.sample_hz = sample_hz;
-  }
   runtime::ParallelRhs rhs(kern.kernel(), popts);
 
   std::vector<double> y(cm.n()), ydot(cm.n());

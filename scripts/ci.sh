@@ -115,10 +115,14 @@ if [[ $MODE == tsan ]]; then
   # HybridEnsembleStress run where event-desynchronized lanes retire
   # out of order while workers steal and repack batches. Tune covers
   # the auto-tuner suites, including the concurrent record/pick stress
-  # against the shared AutoTuner singleton.
+  # against the shared AutoTuner singleton. ForkJoin covers the one
+  # fan-out primitive every pool, ensemble and Jacobian fan-out runs on
+  # (helper reuse, nested calls, exceptions), and the stiff-ensemble
+  # lane test runs BDF/LSODA-like workers whose colored-FD Jacobians
+  # must each stay on their own kernel lane.
   OMX_POOL_STEALING=1 OMX_OBS_ENABLED=1 OMX_OBS_TRACE=1 \
     ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
-      -R 'RuntimeStress|WorkerPool|ParallelRhs|ParallelColoredFd|Svc|Event|Hybrid|Tune'
+      -R 'RuntimeStress|WorkerPool|ParallelRhs|ParallelColoredFd|ForkJoin|StiffLanesOverBatchedKernel|Svc|Event|Hybrid|Tune'
   echo "CI OK (TSan)"
   exit 0
 fi
@@ -207,11 +211,10 @@ OMX_OBS_ENABLED=1 OMX_OBS_TRACE=1 \
 echo "== smoke: trace_explorer writes valid observability artifacts =="
 # The binary validates every JSON artifact with obs::validate_json before
 # writing and exits nonzero on a malformed document, so this step is the
-# trace/profile/recorder schema check. --sample-hz forces the worker
-# utilization counter tracks into the Chrome trace; OMX_OBS_RECORDER
-# arms the flight recorder for the stiff solve.
+# trace/profile/recorder schema check. OMX_OBS_RECORDER arms the flight
+# recorder for the stiff solve.
 OMX_OBS_RECORDER=1 "$BUILD_DIR"/examples/trace_explorer \
-  --model bearing2d --workers 4 --sample-hz 2000 \
+  --model bearing2d --workers 4 \
   --out "$BUILD_DIR"/trace.json \
   --profile "$BUILD_DIR"/profile.json \
   --recorder "$BUILD_DIR"/recorder.json \

@@ -4,8 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <exception>
-#include <mutex>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -17,6 +15,7 @@
 #include "omx/ode/lane_stepper.hpp"
 #include "omx/runtime/task_deque.hpp"
 #include "omx/sched/lpt.hpp"
+#include "omx/support/fork_join.hpp"
 #include "omx/support/simd.hpp"
 #include "omx/support/timer.hpp"
 #include "omx/tune/autotuner.hpp"
@@ -142,10 +141,9 @@ class LaneAccounting final : public LaneOwner {
 
 struct WorkSource {
   std::vector<runtime::TaskDeque> deques;
-  std::size_t nw = 0;
 
   explicit WorkSource(std::size_t num_workers, std::size_t num_scenarios)
-      : deques(num_workers), nw(num_workers) {
+      : deques(num_workers) {
     // Equal scenario weights: LPT degenerates to a deterministic
     // round-robin card deal, which is exactly the right seed — stealing
     // absorbs the *runtime* imbalance of scenarios that converge at
@@ -161,37 +159,20 @@ struct WorkSource {
   /// Pops from the worker's own deque, then steals from the most-loaded
   /// victim. Returns false only when every deque is empty.
   bool next(std::size_t w, std::uint32_t& s) {
-    if (deques[w].pop(s)) {
-      return true;
-    }
-    for (;;) {
-      std::size_t victim = nw;
-      std::size_t best = 0;
-      for (std::size_t v = 0; v < nw; ++v) {
-        if (v == w) {
-          continue;
-        }
-        const std::size_t sz = deques[v].size_estimate();
-        if (sz > best) {
-          best = sz;
-          victim = v;
-        }
-      }
-      if (victim == nw) {
-        return false;
-      }
-      if (deques[victim].steal(s)) {
-        return true;
-      }
-      // Lost the race; sizes changed, pick again.
-    }
+    std::uint64_t lost_races = 0;
+    return runtime::claim_task(
+               w, deques.size(),
+               [&](std::size_t i) -> runtime::TaskDeque& { return deques[i]; },
+               s, lost_races) != runtime::Claim::kNone;
   }
 };
 
 /// Scenario-at-a-time path for the multistep/stiff methods: a plain
-/// streaming solve per scenario, routed through the batched kernel at
-/// width 1 when one is bound so concurrent workers each use their own
-/// lane.
+/// streaming solve per scenario. When a batched kernel is bound, every
+/// evaluation of the solve — its rhs at width 1 and the colored-FD
+/// Jacobian's batched calls at any width — runs on the worker's own
+/// lane, and batch_lanes = 1 keeps the Jacobian from fanning out onto
+/// other workers' lanes.
 SolverStats solve_single(const Problem& p, Method method,
                          const SolverOptions& opts,
                          std::span<const double> y0, std::size_t lane,
@@ -200,6 +181,12 @@ SolverStats solve_single(const Problem& p, Method method,
   q.y0.assign(y0.begin(), y0.end());
   if (p.batch_rhs) {
     const Problem* base = &p;
+    q.set_batch_rhs([base, lane](std::size_t, std::size_t nb,
+                                 const double* t, const double* y_soa,
+                                 double* ydot_soa) {
+      base->batch_rhs(lane, nb, t, y_soa, ydot_soa);
+    });
+    q.batch_lanes = 1;
     q.set_rhs([base, lane](double t, std::span<const double> y,
                            std::span<double> ydot) {
       base->batch_rhs(lane, 1, &t, y.data(), ydot.data());
@@ -329,79 +316,63 @@ void solve_ensemble(const Problem& p, Method method,
   WorkSource ws(nw, ns);
   std::atomic<std::int64_t> active{0};
   std::atomic<std::uint64_t> total_rhs{0};
-  std::mutex err_mutex;
-  std::exception_ptr first_error;
 
   const bool batched_method = method == Method::kExplicitEuler ||
                               method == Method::kRk4 ||
                               method == Method::kDopri5;
 
   auto worker = [&](std::size_t w) {
-    try {
-      if (batched_method) {
-        run_batched_worker(p, method, opts, spec, sink, ws, w, max_batch,
-                           active, total_rhs);
-      } else {
-        std::uint32_t s = 0;
-        while (ws.next(w, s)) {
-          poll_cancel(opts.cancel, "solve_ensemble");
-          occupancy_hist().observe(1.0);
-          obs::record_lane(obs::StepEventKind::kLanePack,
-                           to_string(method), s, base.t0);
-          Stopwatch timer;
-          SolverStats st;
-          try {
-            st = solve_single(base, method, opts, spec.initial_states[s], w,
-                              sink, s);
-          } catch (const Cancelled&) {
-            obs::record_lane(obs::StepEventKind::kLaneCancel,
-                             to_string(method), s, base.t0);
-            lanes_cancelled_counter().add();
-            throw;
-          }
-          total_rhs.fetch_add(st.rhs_calls, std::memory_order_relaxed);
-          lane_step_hist().observe(
-              timer.seconds() /
-              static_cast<double>(std::max<std::uint64_t>(1, st.steps)));
-          const bool at_event = st.events_terminal > 0;
-          obs::record_lane(at_event ? obs::StepEventKind::kLaneEventStop
-                                    : obs::StepEventKind::kLaneRetire,
-                           to_string(method), s, base.tend);
-          lanes_retired_counter().add();
-          if (at_event) {
-            lanes_event_stopped_counter().add();
-          }
-        }
+    if (batched_method) {
+      run_batched_worker(p, method, opts, spec, sink, ws, w, max_batch,
+                         active, total_rhs);
+      return;
+    }
+    std::uint32_t s = 0;
+    while (ws.next(w, s)) {
+      poll_cancel(opts.cancel, "solve_ensemble");
+      occupancy_hist().observe(1.0);
+      obs::record_lane(obs::StepEventKind::kLanePack, to_string(method), s,
+                       base.t0);
+      Stopwatch timer;
+      SolverStats st;
+      try {
+        st = solve_single(base, method, opts, spec.initial_states[s], w,
+                          sink, s);
+      } catch (const Cancelled&) {
+        obs::record_lane(obs::StepEventKind::kLaneCancel, to_string(method),
+                         s, base.t0);
+        lanes_cancelled_counter().add();
+        throw;
       }
-    } catch (...) {
-      const std::lock_guard<std::mutex> lock(err_mutex);
-      if (!first_error) {
-        first_error = std::current_exception();
+      total_rhs.fetch_add(st.rhs_calls, std::memory_order_relaxed);
+      lane_step_hist().observe(
+          timer.seconds() /
+          static_cast<double>(std::max<std::uint64_t>(1, st.steps)));
+      const bool at_event = st.events_terminal > 0;
+      obs::record_lane(at_event ? obs::StepEventKind::kLaneEventStop
+                                : obs::StepEventKind::kLaneRetire,
+                       to_string(method), s, base.tend);
+      lanes_retired_counter().add();
+      if (at_event) {
+        lanes_event_stopped_counter().add();
       }
     }
   };
 
+  // Worker 0 runs on the caller. A failing worker does not stop its
+  // peers; fork_join re-throws the first failure once all have returned.
   const auto start = std::chrono::steady_clock::now();
-  if (nw == 1) {
-    worker(0);
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(nw);
-    for (std::size_t w = 0; w < nw; ++w) {
-      threads.emplace_back(worker, w);
-    }
-    for (std::thread& t : threads) {
-      t.join();
-    }
+  try {
+    support::fork_join(nw, worker);
+  } catch (...) {
+    active_gauge().set(0.0);
+    throw;
   }
   const double secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
 
   active_gauge().set(0.0);
-  if (first_error) {
-    std::rethrow_exception(first_error);
-  }
 
   if (secs > 0.0) {
     rate_gauge().set(

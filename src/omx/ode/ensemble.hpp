@@ -24,9 +24,12 @@
 //  * kExplicitEuler / kRk4 / kDopri5 run fully batched, with or without
 //    events, on the same lane steppers plain ode::solve runs at width 1
 //    (ode/lane_stepper.hpp). The multistep / stiff methods (kAdamsPece,
-//    kBdf, kLsodaLike) integrate scenario-at-a-time per worker, through
-//    the batched kernel at width 1 when one is bound (which keeps them
-//    thread-safe across workers).
+//    kBdf, kLsodaLike) integrate scenario-at-a-time per worker. When a
+//    batched kernel is bound, every evaluation of a worker's solve,
+//    colored-FD Jacobians included, runs on that worker's own lane
+//    (which keeps them thread-safe across workers).
+//  * Workers run on support::fork_join: worker 0 on the caller, the rest
+//    on parked helper threads.
 #pragma once
 
 #include "omx/ode/solve.hpp"
@@ -37,7 +40,7 @@ struct EnsembleSpec {
   /// One initial state per scenario, each of size problem.n. The base
   /// problem's y0 is ignored.
   std::vector<std::vector<double>> initial_states;
-  /// Worker threads (clamped to the scenario count and, when a batched
+  /// Workers (clamped to the scenario count and, when a batched
   /// kernel declares finite Problem::batch_lanes, to that).
   std::size_t workers = 1;
   /// Scenarios integrated in SoA lockstep per worker; 1 degenerates to

@@ -3,12 +3,12 @@
 #include <cstdlib>
 #include <optional>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "omx/obs/recorder.hpp"
 #include "omx/obs/registry.hpp"
 #include "omx/support/config.hpp"
+#include "omx/support/fork_join.hpp"
 #include "omx/support/simd.hpp"
 #include "omx/support/timer.hpp"
 #include "omx/tune/autotuner.hpp"
@@ -105,116 +105,80 @@ void colored_fd_jacobian(const Problem& p, const JacPlan& plan, double t,
   p.rhs(t, y, f0);
   ++rhs_calls;
 
+  // One evaluation per color group: perturb all its columns at once,
+  // evaluate, scatter each column's compressed differences through the
+  // CSC view. Every equation depends on at most one perturbed column
+  // (that is what the distance-2 coloring guarantees), so each
+  // difference is bitwise what a one-column evaluation would have
+  // produced. `f1(r)` reads the group's evaluation of equation r.
   const auto& groups = plan.coloring.groups;
+  const std::size_t ng = groups.size();
   std::span<double> values = jac.values();
-
-  // One color group: perturb all its columns at once, evaluate, scatter
-  // each column's compressed differences through the CSC view. Every
-  // equation depends on at most one perturbed column (that is what the
-  // distance-2 coloring guarantees), so each difference is bitwise what
-  // a one-column evaluation would have produced.
-  auto process_group = [&](const std::vector<std::size_t>& group,
-                           std::vector<double>& yp, std::vector<double>& f1,
-                           auto&& eval) {
-    for (std::size_t j : group) {
-      yp[j] = y[j] + fd_increment(y[j]);
-    }
-    eval(yp, f1);
+  auto scatter = [&](const std::vector<std::size_t>& group, auto&& f1) {
     for (std::size_t j : group) {
       const double inv = 1.0 / fd_increment(y[j]);
       for (std::size_t k = plan.cols.col_ptr[j]; k < plan.cols.col_ptr[j + 1];
            ++k) {
         const std::size_t r = plan.cols.row_idx[k];
-        values[plan.cols.csr_pos[k]] = (f1[r] - f0[r]) * inv;
+        values[plan.cols.csr_pos[k]] = (f1(r) - f0[r]) * inv;
       }
-      yp[j] = y[j];
     }
   };
 
+  if (!p.batch_rhs || ng <= 1) {
+    // Scalar and serial: a plain RhsFn carries no thread-safety
+    // guarantee, and one group gains nothing from batching.
+    std::vector<double> yp(y.begin(), y.end()), f1(n);
+    for (const auto& group : groups) {
+      for (std::size_t j : group) {
+        yp[j] = y[j] + fd_increment(y[j]);
+      }
+      p.rhs(t, yp, f1);
+      scatter(group, [&](std::size_t r) { return f1[r]; });
+      for (std::size_t j : group) {
+        yp[j] = y[j];
+      }
+    }
+    rhs_calls += ng;
+    return;
+  }
+
+  // Batched: kernel lane `lane` of nt evaluates color groups lane,
+  // lane + nt, ... in one call, one SoA column per group, so the kernel
+  // vectorizes across groups. Lane independence (problem.hpp) makes each
+  // column bitwise equal to the scalar evaluation; concurrent calls on
+  // distinct lanes are safe, and scattered CSR slots are disjoint across
+  // groups, so no synchronization is needed beyond the fork_join.
+  // rhs_calls counts columns, so the colors+1 ceiling stays comparable.
   std::size_t nt = 1;
-  if (threads > 1 && p.batch_rhs && groups.size() > 1) {
-    nt = std::min<std::size_t>(static_cast<std::size_t>(threads),
-                               groups.size());
+  if (threads > 1) {
+    nt = std::min(static_cast<std::size_t>(threads), ng);
     if (p.batch_lanes > 0) {
       nt = std::min(nt, p.batch_lanes);
     }
   }
-
-  if (nt <= 1) {
-    if (p.batch_rhs && groups.size() > 1) {
-      // One batched call, one lane per color group: lane g carries the
-      // base state with group g's columns perturbed. Lane independence
-      // (problem.hpp) makes each lane bitwise equal to the scalar
-      // evaluation the loop below would have done, while the kernel
-      // vectorizes across the groups. rhs_calls counts lanes so the
-      // colors+1 evaluation ceiling stays comparable.
-      const std::size_t ng = groups.size();
-      simd::aligned_vector<double> ts(ng, t);
-      simd::aligned_vector<double> y_soa(n * ng), f_soa(n * ng);
-      for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t g = 0; g < ng; ++g) {
-          y_soa[i * ng + g] = y[i];
-        }
-      }
-      for (std::size_t g = 0; g < ng; ++g) {
-        for (std::size_t j : groups[g]) {
-          y_soa[j * ng + g] = y[j] + fd_increment(y[j]);
-        }
-      }
-      p.batch_rhs(0, ng, ts.data(), y_soa.data(), f_soa.data());
-      rhs_calls += ng;
-      for (std::size_t g = 0; g < ng; ++g) {
-        for (std::size_t j : groups[g]) {
-          const double inv = 1.0 / fd_increment(y[j]);
-          for (std::size_t k = plan.cols.col_ptr[j];
-               k < plan.cols.col_ptr[j + 1]; ++k) {
-            const std::size_t r = plan.cols.row_idx[k];
-            values[plan.cols.csr_pos[k]] =
-                (f_soa[r * ng + g] - f0[r]) * inv;
-          }
-        }
-      }
-      return;
-    }
-    std::vector<double> yp(y.begin(), y.end()), f1(n);
-    for (const auto& group : groups) {
-      process_group(group, yp, f1,
-                    [&](const std::vector<double>& state,
-                        std::vector<double>& out) { p.rhs(t, state, out); });
-      ++rhs_calls;
-    }
-    return;
-  }
-
-  // Parallel color groups on distinct batched-kernel lanes. The lane
-  // contract (problem.hpp) makes concurrent calls on distinct lanes safe
-  // and each width-1 result bitwise equal to the scalar rhs; scattered
-  // CSR slots are disjoint across groups, so no synchronization is
-  // needed beyond the joins.
-  std::vector<std::uint64_t> calls(nt, 0);
   auto run = [&](std::size_t lane) {
-    std::vector<double> yp(y.begin(), y.end()), f1(n);
-    for (std::size_t g = lane; g < groups.size(); g += nt) {
-      process_group(groups[g], yp, f1,
-                    [&](const std::vector<double>& state,
-                        std::vector<double>& out) {
-                      p.batch_rhs(lane, 1, &t, state.data(), out.data());
-                    });
-      ++calls[lane];
+    const std::size_t nb = (ng - lane + nt - 1) / nt;
+    simd::aligned_vector<double> ts(nb, t);
+    simd::aligned_vector<double> y_soa(n * nb), f_soa(n * nb);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t b = 0; b < nb; ++b) {
+        y_soa[i * nb + b] = y[i];
+      }
+    }
+    for (std::size_t b = 0; b < nb; ++b) {
+      for (std::size_t j : groups[lane + b * nt]) {
+        y_soa[j * nb + b] = y[j] + fd_increment(y[j]);
+      }
+    }
+    p.batch_rhs(lane, nb, ts.data(), y_soa.data(), f_soa.data());
+    for (std::size_t b = 0; b < nb; ++b) {
+      scatter(groups[lane + b * nt],
+              [&](std::size_t r) { return f_soa[r * nb + b]; });
     }
   };
-  std::vector<std::thread> workers;
-  workers.reserve(nt - 1);
-  for (std::size_t w = 1; w < nt; ++w) {
-    workers.emplace_back(run, w);
-  }
-  run(0);
-  for (std::thread& w : workers) {
-    w.join();
-  }
-  for (std::uint64_t c : calls) {
-    rhs_calls += c;
-  }
+  support::fork_join(nt, run);
+  rhs_calls += ng;
 }
 
 JacobianEngine::JacobianEngine(const Problem& p, const Config& cfg)

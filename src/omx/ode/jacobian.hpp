@@ -68,11 +68,13 @@ struct JacPlan {
 std::shared_ptr<const JacPlan> make_jac_plan(const Problem& p);
 
 /// Colored compressed finite-difference Jacobian into CSR values:
-/// colors+1 RHS calls. With `threads > 1` and a bound batch_rhs, color
-/// groups are evaluated concurrently on distinct kernel lanes (the lane
-/// contract guarantees thread safety and bitwise-equal results); without
-/// a batched kernel the evaluation stays serial, since a plain RhsFn
-/// carries no thread-safety guarantee.
+/// colors+1 RHS calls. With a bound batch_rhs the color groups are SoA
+/// columns of batched calls: one call, or with `threads > 1` one per
+/// kernel lane (at most Problem::batch_lanes lanes) run concurrently
+/// through support::fork_join (the lane contract guarantees thread
+/// safety and bitwise-equal results); without a batched kernel the
+/// evaluation stays serial, since a plain RhsFn carries no thread-safety
+/// guarantee.
 void colored_fd_jacobian(const Problem& p, const JacPlan& plan, double t,
                          std::span<const double> y, la::CsrMatrix& jac,
                          std::uint64_t& rhs_calls, int threads = 1);

@@ -1,12 +1,13 @@
 // Chase-Lev work-stealing deque (Chase & Lev, "Dynamic Circular
 // Work-Stealing Deques", SPAA 2005), specialized for the worker pool's
-// epoch discipline:
+// epoch discipline, plus claim_task(): the one "pop own, else steal from
+// the most-loaded victim" loop shared by the worker pool and the
+// ensemble driver.
 //
-//  * Fixed capacity. The deque is (re)seeded by the supervisor between
-//    epochs while every worker is parked behind the pool's start/finish
-//    handshake, and only drained (pop/steal) while an epoch runs, so the
-//    circular-growth path of the original algorithm is unnecessary and
-//    indices never wrap.
+//  * Fixed capacity. The deque is (re)seeded before a fork_join hands
+//    the workers their share and only drained (pop/steal) while that
+//    fork_join runs, so the circular-growth path of the original
+//    algorithm is unnecessary and indices never wrap.
 //  * seq_cst atomics instead of standalone fences. ThreadSanitizer does
 //    not model std::atomic_thread_fence, so the classic fence-based C11
 //    formulation produces false race reports; sequentially consistent
@@ -32,7 +33,7 @@ class TaskDeque {
   TaskDeque(const TaskDeque&) = delete;
   TaskDeque& operator=(const TaskDeque&) = delete;
 
-  /// Supervisor-only, workers parked: ensures room for `cap` entries.
+  /// Before the fork_join only: ensures room for `cap` entries.
   void reserve(std::size_t cap) {
     if (cap > cap_) {
       buf_.reset(new std::atomic<std::uint32_t>[cap]);
@@ -40,7 +41,7 @@ class TaskDeque {
     }
   }
 
-  /// Supervisor-only, workers parked: refills the deque. tasks[0] becomes
+  /// Before the fork_join only: refills the deque. tasks[0] becomes
   /// the oldest entry (stolen first); tasks.back() is popped first by the
   /// owner. Requires reserve(tasks.size()) to have happened.
   void seed(std::span<const std::uint32_t> tasks) {
@@ -101,5 +102,41 @@ class TaskDeque {
   std::unique_ptr<std::atomic<std::uint32_t>[]> buf_;
   std::size_t cap_ = 0;
 };
+
+enum class Claim {
+  kNone,    // the own deque and every other deque are empty
+  kOwn,     // popped from the own deque
+  kStolen,  // stole the oldest entry of the most-loaded other deque
+};
+
+/// Claims a task for worker `self` of `n`: pops its own deque, else
+/// steals from the most-loaded other deque by (racy) size_estimate(),
+/// picking again after each steal that loses its race (counted in
+/// `lost_races`). `deque_at(i)` returns worker i's TaskDeque.
+template <typename DequeAt>
+Claim claim_task(std::size_t self, std::size_t n, DequeAt&& deque_at,
+                 std::uint32_t& out, std::uint64_t& lost_races) {
+  if (deque_at(self).pop(out)) {
+    return Claim::kOwn;
+  }
+  for (;;) {
+    std::size_t victim = self;
+    std::size_t victim_size = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t s = i == self ? 0 : deque_at(i).size_estimate();
+      if (s > victim_size) {
+        victim_size = s;
+        victim = i;
+      }
+    }
+    if (victim == self) {
+      return Claim::kNone;
+    }
+    if (deque_at(victim).steal(out)) {
+      return Claim::kStolen;
+    }
+    ++lost_races;
+  }
+}
 
 }  // namespace omx::runtime

@@ -1,14 +1,12 @@
 #include "omx/runtime/worker_pool.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <unordered_set>
 
 #include "omx/obs/trace.hpp"
 #include "omx/support/config.hpp"
+#include "omx/support/fork_join.hpp"
 #include "omx/support/timer.hpp"
 
 namespace omx::runtime {
@@ -20,11 +18,6 @@ constexpr std::size_t kHeaderBytes = 16;
 
 bool WorkerPool::stealing_env_default() {
   return config::get_bool("OMX_POOL_STEALING", false);
-}
-
-double WorkerPool::sample_hz_env_default() {
-  const double hz = config::get_double("OMX_OBS_SAMPLE_HZ", 0.0);
-  return hz > 0.0 ? hz : 0.0;
 }
 
 WorkerPool::WorkerPool(const exec::RhsKernel& kernel, const Options& opts)
@@ -44,7 +37,6 @@ void WorkerPool::init() {
   tasks_run_metric_ = &reg.counter("rhs.tasks_run");
   steals_metric_ = &reg.counter("pool.steals");
   steal_failures_metric_ = &reg.counter("pool.steal_failures");
-  idle_metric_ = &reg.counter("pool.idle_nanos");
   // Steal latency spans lock contention (~100 ns) up to a whole task on a
   // loaded machine.
   steal_latency_metric_ = &reg.histogram(
@@ -78,60 +70,6 @@ void WorkerPool::init() {
     rr[i % opts_.num_workers].push_back(static_cast<std::uint32_t>(i));
   }
   set_schedule(rr);
-
-  for (std::size_t i = 0; i < workers_.size(); ++i) {
-    WorkerState& w_ref = *workers_[i];
-    workers_[i]->thread =
-        std::thread([this, &w_ref, i] { worker_main(w_ref, i); });
-  }
-  if (opts_.sample_hz > 0.0) {
-    sampler_thread_ = std::thread([this] { sampler_main(); });
-  }
-}
-
-WorkerPool::~WorkerPool() {
-  {
-    std::lock_guard<std::mutex> lock(start_mutex_);
-    shutdown_ = true;
-  }
-  start_cv_.notify_all();
-  for (auto& w : workers_) {
-    if (w->thread.joinable()) {
-      w->thread.join();
-    }
-  }
-  if (sampler_thread_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(sampler_mutex_);
-      sampler_shutdown_ = true;
-    }
-    sampler_cv_.notify_all();
-    sampler_thread_.join();
-  }
-}
-
-void WorkerPool::sampler_main() {
-  obs::TraceBuffer& tb = obs::TraceBuffer::global();
-  tb.set_thread_name("util-sampler");
-  const auto period = std::chrono::duration_cast<
-      std::chrono::steady_clock::duration>(
-      std::chrono::duration<double>(1.0 / opts_.sample_hz));
-  std::unique_lock<std::mutex> lock(sampler_mutex_);
-  while (!sampler_shutdown_) {
-    // wait_for rather than a plain sleep so the destructor returns in at
-    // most one shutdown-check latency, not one full period.
-    sampler_cv_.wait_for(lock, period, [&] { return sampler_shutdown_; });
-    if (sampler_shutdown_ || !tb.active()) {
-      continue;
-    }
-    const std::int64_t now = tb.now_ns();
-    for (std::size_t i = 0; i < workers_.size(); ++i) {
-      const bool busy =
-          workers_[i]->busy.load(std::memory_order_relaxed);
-      tb.record_counter("util/worker-" + std::to_string(i), now,
-                        busy ? 1.0 : 0.0);
-    }
-  }
 }
 
 void WorkerPool::set_schedule(const sched::Schedule& schedule) {
@@ -201,30 +139,6 @@ void WorkerPool::execute_task(WorkerState& w, std::size_t index,
   w.outputs_produced += meta.out_slots.size();
 }
 
-bool WorkerPool::steal_task(std::size_t thief, std::uint32_t& task) {
-  // Victim: the most-loaded other worker by (racy) deque size.
-  std::size_t victim = thief;
-  std::size_t victim_size = 0;
-  for (std::size_t i = 0; i < workers_.size(); ++i) {
-    if (i == thief) {
-      continue;
-    }
-    const std::size_t s = workers_[i]->deque.size_estimate();
-    if (s > victim_size) {
-      victim_size = s;
-      victim = i;
-    }
-  }
-  if (victim == thief) {
-    return false;  // everything is empty or in flight
-  }
-  if (workers_[victim]->deque.steal(task)) {
-    return true;
-  }
-  steal_failures_metric_->add();
-  return false;
-}
-
 void WorkerPool::run_epoch(WorkerState& w, std::size_t index) {
   std::size_t executed = 0;
   w.outputs_produced = 0;
@@ -249,45 +163,32 @@ void WorkerPool::run_epoch(WorkerState& w, std::size_t index) {
     return;
   }
 
-  // Stealing mode: drain the own deque, then steal until no task remains
-  // anywhere. Every worker participates (and pays the full-state receive)
-  // even with an empty seed — it may steal.
+  // Stealing mode: drain the own deque, then steal until every deque is
+  // empty. Tasks still running elsewhere are the fork_join's to wait for
+  // (tasks are only seeded between epochs, so none can appear). Every
+  // worker participates (and pays the full-state receive) even with an
+  // empty seed — it may steal.
   stats_.charge(opts_.net, w.state_bytes);
-  std::int64_t idle_ns = 0;
   std::uint64_t steals = 0;
-  bool hunting = false;  // true while looking for a task to steal
-  Stopwatch hunt;
+  std::uint64_t lost_races = 0;
+  Stopwatch hunt;  // since this worker last finished a task
+  const auto deque_at = [&](std::size_t i) -> TaskDeque& {
+    return workers_[i]->deque;
+  };
   while (!abort_.load(std::memory_order_acquire)) {
     std::uint32_t task = 0;
-    if (w.deque.pop(task)) {
-      execute_task(w, index, task);
-      ++executed;
-      tasks_remaining_.fetch_sub(1, std::memory_order_acq_rel);
-      continue;
+    const Claim claim =
+        claim_task(index, workers_.size(), deque_at, task, lost_races);
+    if (claim == Claim::kNone) {
+      break;
     }
-    if (tasks_remaining_.load(std::memory_order_acquire) == 0) {
-      break;  // epoch complete
-    }
-    if (!hunting) {
-      hunting = true;
-      hunt.reset();
-    }
-    if (steal_task(index, task)) {
+    if (claim == Claim::kStolen) {
       steal_latency_metric_->observe(hunt.seconds());
-      hunting = false;
       ++steals;
-      execute_task(w, index, task);
-      ++executed;
-      tasks_remaining_.fetch_sub(1, std::memory_order_acq_rel);
-      continue;
     }
-    // Nothing stealable, but tasks are still in flight elsewhere: yield
-    // until the stragglers finish (or new steal opportunities appear —
-    // they cannot, tasks are only seeded between epochs, so this wait is
-    // bounded by the longest in-flight task).
-    Stopwatch idle;
-    std::this_thread::yield();
-    idle_ns += idle.nanos();
+    execute_task(w, index, task);
+    ++executed;
+    hunt.reset();
   }
   if (executed > 0) {
     tasks_run_metric_->add(executed);
@@ -296,53 +197,13 @@ void WorkerPool::run_epoch(WorkerState& w, std::size_t index) {
     steals_metric_->add(steals);
     tasks_stolen_.fetch_add(steals, std::memory_order_relaxed);
   }
-  if (idle_ns > 0) {
-    idle_metric_->add(static_cast<std::uint64_t>(idle_ns));
+  if (lost_races > 0) {
+    steal_failures_metric_->add(lost_races);
   }
   // The response message doubles as the completion report, so it is sent
   // even when this worker executed nothing — message counts stay
   // deterministic under dynamic scheduling.
   stats_.charge(opts_.net, kHeaderBytes + 16 * w.outputs_produced);
-}
-
-void WorkerPool::worker_main(WorkerState& w, std::size_t index) {
-  obs::TraceBuffer& tb = obs::TraceBuffer::global();
-  tb.set_thread_name("worker/" + std::to_string(index));
-  std::uint64_t last_epoch = 0;
-  while (true) {
-    {
-      const std::int64_t idle_start = tb.active() ? tb.now_ns() : -1;
-      std::unique_lock<std::mutex> lock(start_mutex_);
-      start_cv_.wait(lock,
-                     [&] { return epoch_ > last_epoch || shutdown_; });
-      if (idle_start >= 0 && tb.active()) {
-        tb.record("idle", "worker", idle_start, tb.now_ns() - idle_start);
-      }
-      if (shutdown_) {
-        return;
-      }
-      last_epoch = epoch_;
-    }
-    std::exception_ptr error;
-    w.busy.store(true, std::memory_order_relaxed);
-    try {
-      run_epoch(w, index);
-    } catch (...) {
-      // Abort the epoch: peers stop claiming tasks and park, and the
-      // supervisor re-throws after the finish handshake.
-      error = std::current_exception();
-      abort_.store(true, std::memory_order_release);
-    }
-    w.busy.store(false, std::memory_order_relaxed);
-    {
-      std::lock_guard<std::mutex> lock(done_mutex_);
-      if (error != nullptr && first_error_ == nullptr) {
-        first_error_ = error;
-      }
-      ++workers_done_;
-    }
-    done_cv_.notify_all();
-  }
 }
 
 void WorkerPool::eval(double t, std::span<const double> y,
@@ -358,53 +219,43 @@ void WorkerPool::eval(double t, std::span<const double> y,
 
   t_ = t;
   std::copy(y.begin(), y.end(), y_.begin());
-  ++generation_;
 
   {
     // Distribution phase: the supervisor serializes the sends (it is one
     // processor writing to the interconnect), then each worker pays its
     // receive cost concurrently. All epoch inputs are published by the
-    // start_mutex_ acquisition below.
+    // fork_join hand-off below.
     obs::Span scatter("scatter", "runtime");
-    std::size_t total_tasks = 0;
     for (auto& w : workers_) {
       if (opts_.stealing) {
         w->deque.seed(w->tasks);
-        total_tasks += w->tasks.size();
         stats_.charge(opts_.net, w->state_bytes);  // full broadcast
       } else if (!w->tasks.empty()) {
         stats_.charge(opts_.net, w->state_bytes);  // supervisor send cost
       }
     }
-    tasks_remaining_.store(static_cast<std::int64_t>(total_tasks),
-                           std::memory_order_relaxed);
     abort_.store(false, std::memory_order_relaxed);
-    {
-      std::lock_guard<std::mutex> lock(done_mutex_);
-      workers_done_ = 0;
-    }
-    {
-      std::lock_guard<std::mutex> lock(start_mutex_);
-      epoch_ = generation_;
-    }
-    start_cv_.notify_all();
   }
 
-  // Collection phase: wait for every worker, then accumulate the
-  // per-task results in task-id order — deterministic regardless of
-  // which worker executed which task.
-  std::exception_ptr error;
-  {
-    obs::Span gather("gather", "runtime");
-    std::unique_lock<std::mutex> lock(done_mutex_);
-    done_cv_.wait(lock, [&] { return workers_done_ == workers_.size(); });
-    error = first_error_;
-    first_error_ = nullptr;
-  }
-  if (error != nullptr) {
-    std::rethrow_exception(error);
-  }
+  // Execution phase: the supervisor runs worker 0, helpers the rest. A
+  // throwing worker aborts the epoch so peers stop claiming tasks;
+  // fork_join re-throws the first exception once every worker returned.
+  auto run = [&](std::size_t i) {
+    if (i > 0 && tb.active()) {
+      tb.set_thread_name("worker/" + std::to_string(i));
+    }
+    try {
+      run_epoch(*workers_[i], i);
+    } catch (...) {
+      abort_.store(true, std::memory_order_release);
+      throw;
+    }
+  };
+  support::fork_join(workers_.size(), run);
 
+  // Collection phase: accumulate the per-task results in task-id order —
+  // deterministic regardless of which worker executed which task.
+  obs::Span gather("gather", "runtime");
   for (auto& w : workers_) {
     if (opts_.stealing) {
       // supervisor receive cost, mirroring the worker's send

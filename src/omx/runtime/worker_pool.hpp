@@ -8,29 +8,26 @@
 // Message costs are charged through the simulated Interconnect on both
 // the sending and receiving side.
 //
-// Start/finish protocol (epoch-based, ThreadSanitizer-clean):
-//  * The supervisor publishes the epoch inputs (t, y, seeded deques,
-//    outstanding-task count), then increments `epoch_` under
-//    `start_mutex_` and broadcasts `start_cv_`. The mutex acquisition
-//    that each worker performs to observe the new epoch is what makes
-//    every preceding plain write (inputs, schedules) visible to it.
-//  * Each worker runs until no runnable task remains (see below), then
-//    increments `workers_done_` under `done_mutex_` and signals
-//    `done_cv_`. The supervisor waits for all workers, which conversely
-//    publishes every worker-side plain write (per-task results, measured
-//    task times) back to the supervisor.
-//  * All remaining intra-epoch shared state is atomic: the Chase-Lev
-//    deques, `tasks_remaining_`, and the `abort_` flag.
+// Execution: each eval() is one support::fork_join over the workers.
+// The supervisor runs worker 0's share itself; workers 1..n-1 run on
+// fork_join's parked helper threads. fork_join's hand-off publishes
+// every plain write the supervisor made before it (t, y, seeded deques)
+// to the workers, and its completion publishes every worker-side plain
+// write (per-task results, measured task times) back to the supervisor,
+// so the whole engine is ThreadSanitizer-clean. All remaining
+// intra-epoch shared state is atomic: the Chase-Lev deques and the
+// `abort_` flag.
 //
 // Scheduling: each worker owns a Chase-Lev-style deque (task_deque.hpp)
 // seeded from the current (semi-dynamic LPT) schedule. With
 // `stealing = false` a worker simply drains its static assignment — the
 // paper's §3.2.3 behavior. With `stealing = true` a worker that runs dry
 // steals the oldest (= largest predicted) task from the most-loaded
-// victim, so one mispredicted task no longer idles every other worker
-// for the rest of the call. Measured per-task times are recorded by
-// whichever worker executed the task, so the semi-dynamic LPT scheduler
-// keeps improving the static seed across calls either way.
+// victim (runtime::claim_task), so one mispredicted task no longer idles
+// every other worker for the rest of the call. Measured per-task times
+// are recorded by whichever worker executed the task, so the
+// semi-dynamic LPT scheduler keeps improving the static seed across
+// calls either way.
 //
 // Determinism: every task writes its outputs into a private per-task
 // region of `task_results_` (claimed exactly once via the deque), each
@@ -47,10 +44,7 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
-#include <exception>
-#include <mutex>
-#include <thread>
+#include <memory>
 #include <vector>
 
 #include "omx/exec/rhs_kernel.hpp"
@@ -79,22 +73,14 @@ class WorkerPool {
     /// environment variable ("0"/"false"/"off" disable, anything else
     /// enables; unset = disabled).
     bool stealing = stealing_env_default();
-    /// Busy/idle utilization sampling rate for the Perfetto counter
-    /// tracks ("util/worker-N"). 0 disables the sampler thread entirely.
-    /// Defaults from OMX_OBS_SAMPLE_HZ (unset = 0). Samples are only
-    /// recorded while a trace is active.
-    double sample_hz = sample_hz_env_default();
   };
 
   /// The Options::stealing default: OMX_POOL_STEALING, unset -> false.
   static bool stealing_env_default();
-  /// The Options::sample_hz default: OMX_OBS_SAMPLE_HZ, unset -> 0.
-  static double sample_hz_env_default();
 
   /// `kernel` must have a task decomposition, at least num_workers
   /// concurrency lanes, and must outlive the pool.
   WorkerPool(const exec::RhsKernel& kernel, const Options& opts);
-  ~WorkerPool();
 
   WorkerPool(const WorkerPool&) = delete;
   WorkerPool& operator=(const WorkerPool&) = delete;
@@ -109,9 +95,10 @@ class WorkerPool {
   void set_schedule(const sched::Schedule& schedule);
 
   /// One parallel RHS evaluation. If a worker throws while executing a
-  /// task, the epoch is aborted, every worker parks, and the first
-  /// exception is re-thrown here on the supervisor; the pool stays
-  /// usable (and destructible) afterwards.
+  /// task, the epoch is aborted (peers stop claiming tasks), and once
+  /// every worker has returned the first exception is re-thrown here on
+  /// the supervisor; the pool stays usable (and destructible)
+  /// afterwards.
   void eval(double t, std::span<const double> y, std::span<double> ydot);
 
   /// Measured seconds per task (indexed by task id) from the most recent
@@ -135,7 +122,6 @@ class WorkerPool {
 
  private:
   struct WorkerState {
-    std::thread thread;
     TaskDeque deque;
     /// Static assignment for the current schedule (LPT order).
     std::vector<std::uint32_t> tasks;
@@ -147,22 +133,14 @@ class WorkerPool {
     std::size_t result_bytes = 0;  // response payload (static schedule)
     /// Out-slot values produced in the last epoch (stealing mode
     /// response payload); written by the worker, read by the supervisor
-    /// after the finish handshake.
+    /// after the fork_join.
     std::size_t outputs_produced = 0;
-    /// True while the worker is inside run_epoch(); read by the
-    /// utilization sampler thread.
-    std::atomic<bool> busy{false};
   };
 
   void init();
-  void worker_main(WorkerState& w, std::size_t index);
-  void sampler_main();
-  /// One worker's share of one epoch; throws through to worker_main.
+  /// One worker's share of one epoch; runs as fork_join index `index`.
   void run_epoch(WorkerState& w, std::size_t index);
   void execute_task(WorkerState& w, std::size_t index, std::uint32_t task);
-  /// Steals from the most-loaded other worker. False = nothing stealable
-  /// right now (or the CAS lost a race).
-  bool steal_task(std::size_t thief, std::uint32_t& task);
   void recompute_message_sizes();
 
   const exec::RhsKernel* kernel_ = nullptr;
@@ -172,46 +150,25 @@ class WorkerPool {
   obs::Counter* tasks_run_metric_ = nullptr;
   obs::Counter* steals_metric_ = nullptr;
   obs::Counter* steal_failures_metric_ = nullptr;
-  obs::Counter* idle_metric_ = nullptr;  // pool.idle_nanos
   obs::Histogram* steal_latency_metric_ = nullptr;
   obs::Histogram* task_seconds_metric_ = nullptr;
 
   std::vector<std::unique_ptr<WorkerState>> workers_;
 
-  // Utilization sampler (active only when opts_.sample_hz > 0).
-  std::thread sampler_thread_;
-  std::mutex sampler_mutex_;
-  std::condition_variable sampler_cv_;
-  bool sampler_shutdown_ = false;  // guarded by sampler_mutex_
-
   // Per-task result storage: task t owns the half-open range
   // [task_result_offset_[t], task_result_offset_[t + 1]) — one double per
   // out slot. Written by the (single) executor of t, read by the
-  // supervisor after the finish handshake.
+  // supervisor after the fork_join.
   std::vector<double> task_results_;
   std::vector<std::size_t> task_result_offset_;
   std::vector<double> task_seconds_;
   std::size_t evals_completed_ = 0;
-  std::uint64_t generation_ = 0;  // == epochs started; supervisor-only
 
-  // Epoch inputs (plain writes published by the start handshake).
+  // Epoch inputs (plain writes published by the fork_join hand-off).
   double t_ = 0.0;
   std::vector<double> y_;
 
-  // Start handshake.
-  std::mutex start_mutex_;
-  std::condition_variable start_cv_;
-  std::uint64_t epoch_ = 0;  // guarded by start_mutex_
-  bool shutdown_ = false;    // guarded by start_mutex_
-
-  // Finish handshake.
-  std::mutex done_mutex_;
-  std::condition_variable done_cv_;
-  std::size_t workers_done_ = 0;     // guarded by done_mutex_
-  std::exception_ptr first_error_;   // guarded by done_mutex_
-
-  // Intra-epoch coordination (stealing-mode termination + abort).
-  std::atomic<std::int64_t> tasks_remaining_{0};
+  // Intra-epoch abort: set by a throwing worker, read by its peers.
   std::atomic<bool> abort_{false};
   std::atomic<std::uint64_t> tasks_stolen_{0};
 };

@@ -18,8 +18,6 @@ const std::vector<Knob>& table() {
        "metrics registry on/off (counters, gauges, histograms)"},
       {"OMX_OBS_TRACE", "bool", "false",
        "start the global trace buffer at process start"},
-      {"OMX_OBS_SAMPLE_HZ", "double", "0",
-       "worker-pool utilization sampler rate (0 = off)"},
       {"OMX_OBS_RECORDER", "bool", "false",
        "arm the solver flight recorder at process start"},
       {"OMX_OBS_RECORDER_CAP", "int", "65536",

@@ -511,6 +511,58 @@ TEST(Ensemble, AgreesAcrossBackendsAndIsStableAcrossWorkerCounts) {
   }
 }
 
+TEST(Ensemble, StiffLanesOverBatchedKernelMatchSequentialSolves) {
+  // BDF and LSODA-like ensembles go scenario-at-a-time; each worker's
+  // solve — its rhs AND its colored-FD Jacobian's batched calls — must
+  // stay on the worker's own interpreter lane. A Jacobian sent to a
+  // shared lane races other workers' register files and corrupts their
+  // solves (typically a Newton failure with vanishing step).
+  pipeline::CompiledModel cm = pipeline::compile_model(
+      [](expr::Context& ctx) {
+        models::BearingConfig cfg;
+        cfg.n_rollers = 4;
+        return models::build_bearing(ctx, cfg);
+      });
+  const std::size_t n = cm.n();
+  pipeline::KernelOptions ko;
+  ko.lanes = 4;
+  const KernelInstance k = cm.make_kernel(Backend::kInterp, ko);
+  const ode::Problem p = cm.make_problem(k, 0.0, 0.02);
+  ASSERT_TRUE(p.batch_rhs);
+  ASSERT_TRUE(p.sparsity);
+
+  ode::EnsembleSpec spec;
+  for (std::size_t s = 0; s < 16; ++s) {
+    std::vector<double> y = start_state(cm);
+    for (std::size_t i = 0; i < n; ++i) {
+      y[i] += 1e-3 * static_cast<double>((i + s) % 7);
+    }
+    spec.initial_states.push_back(std::move(y));
+  }
+  spec.workers = 4;
+
+  ode::SolverOptions o;
+  o.record_every = 1000;
+  for (const ode::Method m : {ode::Method::kBdf, ode::Method::kLsodaLike}) {
+    const ode::EnsembleResult got = ode::solve_ensemble(p, m, o, spec);
+    for (std::size_t s = 0; s < spec.initial_states.size(); ++s) {
+      ode::Problem q = p;
+      q.y0 = spec.initial_states[s];
+      const ode::Solution want = ode::solve(q, m, o);
+      const ode::Solution& g = got.solutions[s];
+      EXPECT_EQ(g.stats.steps, want.stats.steps)
+          << to_string(m) << " scenario " << s;
+      const auto a = want.final_state();
+      const auto b = g.final_state();
+      ASSERT_EQ(b.size(), a.size());
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(b[i], a[i])
+            << to_string(m) << " scenario " << s << " slot " << i;
+      }
+    }
+  }
+}
+
 TEST(Kernels, InterpLanesAreIndependent) {
   // Distinct lanes own private register files: running the same task on
   // two lanes back-to-back gives identical accumulations.

@@ -1,6 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <set>
+#include <stdexcept>
+#include <thread>
+#include <vector>
+
 #include "omx/support/diagnostics.hpp"
+#include "omx/support/fork_join.hpp"
 #include "omx/support/interner.hpp"
 #include "omx/support/json.hpp"
 #include "omx/support/rng.hpp"
@@ -172,6 +180,121 @@ TEST(Json, RejectsRunawayNesting) {
     deep += "[";
   }
   EXPECT_THROW(support::json::parse(deep), omx::Error);
+}
+
+// ------------------------------------------------------------ fork_join
+
+/// Every index of `n` arrives, then spins until all `n` have arrived (or a
+/// 10 s deadline passes). True iff all were running at the same time.
+bool all_concurrent(std::atomic<std::size_t>& arrived, std::size_t n) {
+  arrived.fetch_add(1);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (arrived.load() < n) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      return false;
+    }
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+TEST(ForkJoin, RunsEveryIndexOnceWithIndexZeroOnTheCaller) {
+  for (const std::size_t n : {0u, 1u, 2u, 5u}) {
+    std::vector<std::atomic<int>> runs(n);
+    std::vector<std::thread::id> ids(n);
+    auto fn = [&](std::size_t i) {
+      runs[i].fetch_add(1);
+      ids[i] = std::this_thread::get_id();
+    };
+    support::fork_join(n, fn);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(runs[i].load(), 1) << "n=" << n << " index " << i;
+      EXPECT_EQ(ids[i] == std::this_thread::get_id(), i == 0)
+          << "n=" << n << " index " << i;
+    }
+  }
+}
+
+TEST(ForkJoin, IndicesRunConcurrently) {
+  // Each index waits for all the others: any index held back behind
+  // another would miss the deadline.
+  std::atomic<std::size_t> arrived{0};
+  std::atomic<int> ok{0};
+  auto fn = [&](std::size_t) { ok.fetch_add(all_concurrent(arrived, 6)); };
+  support::fork_join(6, fn);
+  EXPECT_EQ(ok.load(), 6);
+}
+
+TEST(ForkJoin, ConcurrentCallersNeverWaitOnEachOther) {
+  std::atomic<std::size_t> arrived{0};
+  std::atomic<int> ok{0};
+  auto fn = [&](std::size_t) { ok.fetch_add(all_concurrent(arrived, 6)); };
+  std::thread other([&] { support::fork_join(3, fn); });
+  support::fork_join(3, fn);
+  other.join();
+  EXPECT_EQ(ok.load(), 6);
+}
+
+TEST(ForkJoin, HelperExceptionRethrownAfterEveryIndexReturned) {
+  std::atomic<int> finished{0};
+  auto fn = [&](std::size_t i) {
+    if (i == 1) {
+      throw std::runtime_error("index 1 failed");
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    finished.fetch_add(1);
+  };
+  try {
+    support::fork_join(4, fn);
+    ADD_FAILURE() << "fork_join swallowed the exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "index 1 failed");
+    // Indices 0, 2 and 3 had all returned before the rethrow.
+    EXPECT_EQ(finished.load(), 3);
+  }
+
+  // The next call works.
+  std::atomic<int> runs{0};
+  auto count = [&](std::size_t) { runs.fetch_add(1); };
+  support::fork_join(4, count);
+  EXPECT_EQ(runs.load(), 4);
+}
+
+TEST(ForkJoin, NestedCallInsideHelperCompletes) {
+  // An inner fork_join on a helper must get fresh helpers, not wait for
+  // the outer call's (busy) ones.
+  std::atomic<int> inner_runs{0};
+  std::atomic<std::size_t> arrived{0};
+  std::atomic<int> ok{0};
+  auto inner = [&](std::size_t) {
+    inner_runs.fetch_add(1);
+    ok.fetch_add(all_concurrent(arrived, 3));
+  };
+  auto outer = [&](std::size_t i) {
+    if (i == 1) {
+      support::fork_join(3, inner);
+    }
+  };
+  support::fork_join(3, outer);
+  EXPECT_EQ(inner_runs.load(), 3);
+  EXPECT_EQ(ok.load(), 3);
+}
+
+TEST(ForkJoin, SequentialCallsReuseOneHelper) {
+  std::set<std::thread::id> helper_ids;
+  std::thread::id id;
+  auto fn = [&](std::size_t i) {
+    if (i == 1) {
+      id = std::this_thread::get_id();
+    }
+  };
+  for (int call = 0; call < 200; ++call) {
+    support::fork_join(2, fn);
+    helper_ids.insert(id);
+  }
+  EXPECT_EQ(helper_ids.size(), 1u);
+  EXPECT_NE(*helper_ids.begin(), std::this_thread::get_id());
 }
 
 }  // namespace
