@@ -119,10 +119,12 @@ if [[ $MODE == tsan ]]; then
   # fan-out primitive every pool, ensemble and Jacobian fan-out runs on
   # (helper reuse, nested calls, exceptions), and the stiff-ensemble
   # lane test runs BDF/LSODA-like workers whose colored-FD Jacobians
-  # must each stay on their own kernel lane.
+  # must each stay on their own kernel lane. Multistep covers the one
+  # Adams/BDF segment driver, whose kLsodaLike BDF phase fans its
+  # colored-FD Jacobian out over jac_threads kernel lanes.
   OMX_POOL_STEALING=1 OMX_OBS_ENABLED=1 OMX_OBS_TRACE=1 \
     ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
-      -R 'RuntimeStress|WorkerPool|ParallelRhs|ParallelColoredFd|ForkJoin|StiffLanesOverBatchedKernel|Svc|Event|Hybrid|Tune'
+      -R 'RuntimeStress|WorkerPool|ParallelRhs|ParallelColoredFd|ForkJoin|StiffLanesOverBatchedKernel|Multistep|Svc|Event|Hybrid|Tune'
   echo "CI OK (TSan)"
   exit 0
 fi

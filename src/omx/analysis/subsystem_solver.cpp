@@ -6,18 +6,6 @@
 
 namespace omx::analysis {
 
-namespace {
-
-void merge_stats(ode::SolverStats& into, const ode::SolverStats& from) {
-  into.rhs_calls += from.rhs_calls;
-  into.jac_calls += from.jac_calls;
-  into.steps += from.steps;
-  into.rejected += from.rejected;
-  into.newton_iters += from.newton_iters;
-}
-
-}  // namespace
-
 PartitionedSolution solve_partitioned(const model::FlatSystem& flat,
                                       const Partition& partition,
                                       double t0, double tend,
@@ -95,7 +83,7 @@ PartitionedSolution solve_partitioned(const model::FlatSystem& flat,
     sopts.max_steps = opts.max_steps;
     sopts.record_every = 1;  // downstream interpolation needs every step
     out.per_subsystem[c] = ode::solve(p, ode::Method::kDopri5, sopts);
-    merge_stats(out.total, out.per_subsystem[c].stats);
+    out.total += out.per_subsystem[c].stats;
     solved[c] = true;
   }
 

@@ -4,8 +4,7 @@
 #include <cmath>
 
 #include "omx/obs/recorder.hpp"
-#include "omx/obs/trace.hpp"
-#include "omx/ode/events.hpp"
+#include "omx/ode/multistep.hpp"
 
 namespace omx::ode {
 
@@ -17,30 +16,18 @@ constexpr double kAm[4] = {9.0 / 24, 19.0 / 24, -5.0 / 24, 1.0 / 24};
 constexpr double kMilne = 19.0 / 270.0;
 }  // namespace
 
-AdamsStepper::AdamsStepper(const Problem& p, const AdamsOptions& opts)
-    : p_(p), opts_(opts), y_(p.n) {
+AdamsStepper::AdamsStepper(const Problem& p, const SolverOptions& opts)
+    : p_(p),
+      tol_(opts.tol),
+      hmax_(opts.hmax > 0.0 ? opts.hmax : p.tend - p.t0),
+      y_(p.n) {
   restart(p.t0, p.y0, opts.h0);
 }
 
 void AdamsStepper::restart(double t, std::span<const double> y, double h) {
   t_ = t;
   std::copy(y.begin(), y.end(), y_.begin());
-  if (h > 0.0) {
-    h_ = h;
-  } else {
-    // Automatic initial step (Hairer's d0/d1 heuristic): h ~ 1% of the
-    // solution's characteristic time scale ||y||_w / ||y'||_w.
-    std::vector<double> f(p_.n), w(p_.n);
-    p_.rhs(t_, y_, f);
-    ++stats_.rhs_calls;
-    error_weights(y_, opts_.tol, w);
-    const double d0 = la::wrms_norm(y_, w);
-    const double d1 = la::wrms_norm(f, w);
-    h_ = (d0 > 1e-5 && d1 > 1e-5) ? 0.01 * d0 / d1
-                                  : 1e-3 * (p_.tend - p_.t0);
-  }
-  const double hmax = opts_.hmax > 0.0 ? opts_.hmax : (p_.tend - p_.t0);
-  h_ = std::min(h_, hmax);
+  h_ = detail::start_step(p_, t_, y_, h, tol_, hmax_, stats_);
   // The history rebuild advances 3 substeps; keep them well inside the
   // remaining interval.
   const double remaining = p_.tend - t_;
@@ -49,23 +36,6 @@ void AdamsStepper::restart(double t, std::span<const double> y, double h) {
   }
   rebuild_history();
   consecutive_rejects_ = 0;
-}
-
-void AdamsStepper::rk4_step(double t, std::span<const double> y, double h,
-                            std::span<double> out) {
-  const std::size_t n = p_.n;
-  std::vector<double> k1(n), k2(n), k3(n), k4(n), tmp(n);
-  p_.rhs(t, y, k1);
-  for (std::size_t i = 0; i < n; ++i) tmp[i] = y[i] + 0.5 * h * k1[i];
-  p_.rhs(t + 0.5 * h, tmp, k2);
-  for (std::size_t i = 0; i < n; ++i) tmp[i] = y[i] + 0.5 * h * k2[i];
-  p_.rhs(t + 0.5 * h, tmp, k3);
-  for (std::size_t i = 0; i < n; ++i) tmp[i] = y[i] + h * k3[i];
-  p_.rhs(t + h, tmp, k4);
-  stats_.rhs_calls += 4;
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = y[i] + h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
-  }
 }
 
 void AdamsStepper::rebuild_history() {
@@ -83,13 +53,7 @@ void AdamsStepper::rebuild_history() {
     // Each history point is produced by 4 RK4 substeps: the local error
     // (h/4)^5-scale stays far below the ABM4 error controller's budget,
     // so rebuilds never pollute the controlled accuracy.
-    std::vector<double> next(n);
-    const int sub = 4;
-    for (int s = 0; s < sub; ++s) {
-      rk4_step(t, y, h_ / sub, next);
-      t += h_ / sub;
-      y = next;
-    }
+    t = detail::rk4_substeps(p_, t, y, h_, 4, stats_);
     p_.rhs(t, y, f_[static_cast<std::size_t>(k)]);
     ++stats_.rhs_calls;
     stats_.steps++;
@@ -105,9 +69,7 @@ bool AdamsStepper::step() {
   if (rem < h_) {
     // Finish the last partial interval with a single RK4 step (same order;
     // keeps the Adams history spacing strictly uniform).
-    std::vector<double> out(n);
-    rk4_step(t_, y_, rem, out);
-    std::copy(out.begin(), out.end(), y_.begin());
+    detail::rk4_substeps(p_, t_, y_, rem, 1, stats_);
     t_ = p_.tend;
     ++stats_.steps;
     consecutive_rejects_ = 0;
@@ -132,7 +94,7 @@ bool AdamsStepper::step() {
   for (std::size_t i = 0; i < n; ++i) {
     err[i] = kMilne * (yc[i] - yp[i]);
   }
-  error_weights(yc, opts_.tol, w);
+  error_weights(yc, tol_, w);
   const double e = la::wrms_norm(err, w);
   if (!std::isfinite(e)) {
     // A NaN/Inf from the RHS fails every accept test; report the real
@@ -156,18 +118,13 @@ bool AdamsStepper::step() {
     // and a rebuild costs ~50 RHS calls, so require a clear win AND let
     // the current step size amortize over several accepted steps first.
     ++steps_since_rebuild_;
-    if (steps_since_rebuild_ >= 8) {
-      just_grew_ = false;  // the grown step size has proven itself
-    }
     const double fac = 0.9 * std::pow(std::max(e, 1e-10), -0.2);
     if (fac > 1.9 && steps_since_rebuild_ >= 8 &&
         p_.tend - t_ > 8.0 * h_) {
-      const double grown = std::min(
-          h_ * 2.0, opts_.hmax > 0.0 ? opts_.hmax : (p_.tend - p_.t0));
+      const double grown = std::min(h_ * 2.0, hmax_);
       if (grown > h_ * 1.01) {  // only rebuild when h actually changes
         h_ = grown;
         rebuild_history();
-        just_grew_ = true;
       }
     }
     return true;
@@ -177,15 +134,6 @@ bool AdamsStepper::step() {
   ++consecutive_rejects_;
   obs::record_step(obs::StepEventKind::kStepRejected, "adams", 4, t_, h,
                    e);
-  if (just_grew_) {
-    // Accuracy misses after growth show e slightly above 1; an explicit
-    // method pushed past its stability boundary rejects with an exploding
-    // estimate. Only the latter counts as stiffness evidence.
-    if (e > 3.0) {
-      ++growth_bounces_;
-    }
-    just_grew_ = false;
-  }
   h_ *= std::max(0.25, 0.9 * std::pow(e, -0.25));
   if (h_ < 1e-14 * std::max(1.0, std::fabs(t_))) {
     throw omx::Error("adams: step size underflow at t = " +
@@ -231,71 +179,5 @@ double AdamsStepper::stiffness_ratio() {
   const double lambda_rough = probe(rough);
   return h_ * std::max(lambda_flow, lambda_rough);
 }
-
-namespace detail {
-
-SolverStats adams_pece(const Problem& p, const AdamsOptions& opts,
-                       TrajectorySink& sink, std::uint32_t scenario) {
-  p.validate();
-  obs::Span solve_span("adams_pece", "ode");
-  AdamsStepper stepper(p, opts);
-  TrajectoryWriter rec(sink, scenario, p.n);
-  rec.append(p.t0, p.y0);
-
-  EventHandler events(p.events, p.n);
-  std::vector<double> yprev(p.n);
-  // The Adams step has no native continuous extension (the f history is
-  // rebuilt wholesale on restarts), so localization interpolates each
-  // jump with cubic Hermite from on-demand endpoint derivatives.
-  auto make_dense = [&](double tp, const std::vector<double>& yp) {
-    return hermite_by_rhs(p, tp, yp, stepper.t(), stepper.y(),
-                          stepper.stats());
-  };
-  bool terminated = false;
-  if (events.armed()) {
-    events.prime(p.t0, p.y0);
-    // The construction rebuild already advanced a few RK4 substeps —
-    // sweep that jump before committing the post-rebuild point.
-    yprev = p.y0;
-    terminated = sweep_stepper_events(events, stepper, "adams", p.t0,
-                                      yprev, rec, make_dense);
-  }
-  // The history rebuild already advanced a few RK4 steps; record them.
-  rec.append(stepper.t(), stepper.y());
-
-  std::size_t accepted = 0;
-  std::size_t attempts = 0;
-  while (!terminated && stepper.t() < p.tend) {
-    poll_cancel(opts.cancel, "adams");
-    if (++attempts > opts.max_steps) {
-      throw omx::Error("adams: max_steps exceeded");
-    }
-    const double tprev = stepper.t();
-    if (events.armed()) {
-      yprev.assign(stepper.y().begin(), stepper.y().end());
-    }
-    const bool ok = stepper.step();
-    // Rejected attempts also move time (the shrink-rebuild advances a
-    // few substeps), so the sweep runs on every attempt that did.
-    if (events.armed() &&
-        sweep_stepper_events(events, stepper, "adams", tprev, yprev, rec,
-                             make_dense)) {
-      terminated = true;
-      break;
-    }
-    if (ok) {
-      ++accepted;
-      if (accepted % opts.record_every == 0 || stepper.t() >= p.tend) {
-        rec.append(stepper.t(), stepper.y());
-      }
-    }
-  }
-  const SolverStats stats = stepper.stats();
-  publish_solver_stats(stats);
-  rec.finish(stats);
-  return stats;
-}
-
-}  // namespace detail
 
 }  // namespace omx::ode

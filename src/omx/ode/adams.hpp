@@ -1,30 +1,22 @@
 // Adams-Bashforth-Moulton predictor-corrector (PECE), order 4, with
-// adaptive step size — the non-stiff half of the LSODA-style switching
-// driver (§3.2.1; Petzold 1983).
+// adaptive step size — the non-stiff half of the LSODA-style multistep
+// driver (§3.2.1; Petzold 1983; see ode/multistep.hpp).
 //
 // Startup and every step-size change rebuild the derivative history with
 // RK4 substeps. The local error estimate is the standard Milne device:
 // the predictor/corrector difference scaled by the method constant.
 #pragma once
 
-#include "omx/ode/sink.hpp"
+#include "omx/ode/solve.hpp"
 
 namespace omx::ode {
 
-struct AdamsOptions {
-  Tolerances tol{};
-  double h0 = 0.0;  // 0 = automatic
-  double hmax = 0.0;
-  std::size_t max_steps = 1000000;
-  std::size_t record_every = 1;
-  /// Polled once per step attempt; throws Cancelled when it reads true.
-  const std::atomic<bool>* cancel = nullptr;
-};
-
-/// Single-step driver used by the auto-switching solver.
+/// Single-step Adams stepper; the multistep driver runs its segment loop.
 class AdamsStepper {
  public:
-  AdamsStepper(const Problem& p, const AdamsOptions& opts);
+  /// Starts at (p.t0, p.y0) with step opts.h0 (0 = automatic); reads
+  /// opts.tol and opts.hmax.
+  AdamsStepper(const Problem& p, const SolverOptions& opts);
 
   /// Initializes (or re-initializes) at (t, y) with step h (0 = auto).
   void restart(double t, std::span<const double> y, double h);
@@ -40,11 +32,6 @@ class AdamsStepper {
   /// stiffness tell-tale used by the switching heuristic.
   std::size_t consecutive_rejects() const { return consecutive_rejects_; }
 
-  /// Number of "growth bounces": the controller judged the error small
-  /// enough to double h, but a step shortly after was rejected with an
-  /// exploding estimate — circumstantial stiffness evidence.
-  std::size_t growth_bounces() const { return growth_bounces_; }
-
   /// Directly measures sigma = h * lambda_est, where lambda_est is the
   /// Jacobian's action on the current flow direction (one extra RHS
   /// call). An explicit method that is *accuracy*-limited runs at
@@ -56,11 +43,10 @@ class AdamsStepper {
 
  private:
   void rebuild_history();
-  void rk4_step(double t, std::span<const double> y, double h,
-                std::span<double> out);
 
   const Problem& p_;
-  AdamsOptions opts_;
+  Tolerances tol_;
+  double hmax_;  // resolved: opts.hmax, or p.tend - p.t0 when 0
   double t_ = 0.0;
   double h_ = 0.0;
   std::vector<double> y_;
@@ -68,16 +54,7 @@ class AdamsStepper {
   std::vector<std::vector<double>> f_;
   std::size_t consecutive_rejects_ = 0;
   std::size_t steps_since_rebuild_ = 0;
-  std::size_t growth_bounces_ = 0;
-  bool just_grew_ = false;
   SolverStats stats_;
 };
-
-namespace detail {
-/// Streaming core: accepted steps flow to `sink` under scenario id
-/// `scenario`; the returned statistics are also delivered via finish().
-SolverStats adams_pece(const Problem& p, const AdamsOptions& opts,
-                       TrajectorySink& sink, std::uint32_t scenario = 0);
-}  // namespace detail
 
 }  // namespace omx::ode

@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "omx/obs/recorder.hpp"
-#include "omx/obs/trace.hpp"
+#include "omx/ode/multistep.hpp"
 
 namespace omx::ode {
 
@@ -53,16 +53,14 @@ void extrapolate(const std::vector<std::vector<double>>& hist, int points,
 
 }  // namespace
 
-BdfStepper::BdfStepper(const Problem& p, const BdfOptions& opts)
+BdfStepper::BdfStepper(const Problem& p, const SolverOptions& opts)
     : p_(p),
       opts_(opts),
-      jac_engine_(p, JacobianEngine::Config{opts.jac_threads,
-                                           opts.jac_max_age,
-                                           /*slow_iters=*/5}) {
-  OMX_REQUIRE(opts_.max_order >= 1 && opts_.max_order <= 5,
+      hmax_(opts.hmax > 0.0 ? opts.hmax : p.tend - p.t0),
+      jac_engine_(p, opts.jac_threads) {
+  OMX_REQUIRE(opts_.bdf_max_order >= 1 && opts_.bdf_max_order <= 5,
               "BDF order must be in 1..5");
-  double h = opts.fixed_h > 0.0 ? opts.fixed_h : opts.h0;
-  restart(p.t0, p.y0, h);
+  restart(p.t0, p.y0, opts.bdf_fixed_h > 0.0 ? opts.bdf_fixed_h : opts.h0);
 }
 
 void BdfStepper::restart(double t, std::span<const double> y, double h) {
@@ -71,55 +69,20 @@ void BdfStepper::restart(double t, std::span<const double> y, double h) {
   history_.emplace_back(y.begin(), y.end());
   order_ = 1;
   jac_engine_.invalidate();
-  if (h > 0.0) {
-    h_ = h;
-  } else {
-    // Hairer's d0/d1 heuristic (see adams.cpp).
-    std::vector<double> f(p_.n), w(p_.n);
-    p_.rhs(t_, y, f);
-    ++stats_.rhs_calls;
-    error_weights(y, opts_.tol, w);
-    const double d0 = la::wrms_norm(y, w);
-    const double d1 = la::wrms_norm(f, w);
-    h_ = (d0 > 1e-5 && d1 > 1e-5) ? 0.01 * d0 / d1
-                                  : 1e-3 * (p_.tend - p_.t0);
-  }
-  const double hmax = opts_.hmax > 0.0 ? opts_.hmax : (p_.tend - p_.t0);
-  h_ = std::min(h_, hmax);
+  h_ = detail::start_step(p_, t_, y, h, opts_.tol, hmax_, stats_);
 
-  if (opts_.fixed_h > 0.0 && opts_.max_order > 1) {
+  if (opts_.bdf_fixed_h > 0.0 && opts_.bdf_max_order > 1) {
     // Fixed-step mode: bootstrap an accurate uniform history with finely
     // sub-stepped RK4 so every subsequent step is pure order-k BDF (the
     // convergence-order tests rely on this).
     std::vector<double> ycur(history_.front());
-    std::vector<double> k1(p_.n), k2(p_.n), k3(p_.n), k4(p_.n), tmp(p_.n),
-        next(p_.n);
-    for (int m = 1; m < opts_.max_order; ++m) {
-      const int sub = 20;
-      const double hs = h_ / sub;
-      double ts = t_;
-      for (int s = 0; s < sub; ++s) {
-        p_.rhs(ts, ycur, k1);
-        for (std::size_t i = 0; i < p_.n; ++i)
-          tmp[i] = ycur[i] + 0.5 * hs * k1[i];
-        p_.rhs(ts + 0.5 * hs, tmp, k2);
-        for (std::size_t i = 0; i < p_.n; ++i)
-          tmp[i] = ycur[i] + 0.5 * hs * k2[i];
-        p_.rhs(ts + 0.5 * hs, tmp, k3);
-        for (std::size_t i = 0; i < p_.n; ++i)
-          tmp[i] = ycur[i] + hs * k3[i];
-        p_.rhs(ts + hs, tmp, k4);
-        stats_.rhs_calls += 4;
-        for (std::size_t i = 0; i < p_.n; ++i) {
-          ycur[i] += hs / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
-        }
-        ts += hs;
-      }
+    for (int m = 1; m < opts_.bdf_max_order; ++m) {
+      detail::rk4_substeps(p_, t_, ycur, h_, 20, stats_);
       t_ += h_;
       ++stats_.steps;
       history_.insert(history_.begin(), ycur);
     }
-    order_ = opts_.max_order;
+    order_ = opts_.bdf_max_order;
   }
 }
 
@@ -167,7 +130,7 @@ bool BdfStepper::newton_solve(double t1, std::span<const double> predictor,
 
 bool BdfStepper::step() {
   const std::size_t n = p_.n;
-  const bool fixed = opts_.fixed_h > 0.0;
+  const bool fixed = opts_.bdf_fixed_h > 0.0;
   const double rem = p_.tend - t_;
   // Treat a remainder within roundoff of h_ as a full step.
   const bool full_step = rem >= h_ * (1.0 - 1e-9);
@@ -178,24 +141,7 @@ bool BdfStepper::step() {
     // final interval with finely sub-stepped RK4 so its error cannot
     // contaminate the BDF-k convergence order.
     std::vector<double> ycur(history_.front());
-    std::vector<double> k1(n), k2(n), k3(n), k4(n), tmp(n);
-    const int sub = 20;
-    const double hs = h / sub;
-    double ts = t_;
-    for (int s = 0; s < sub; ++s) {
-      p_.rhs(ts, ycur, k1);
-      for (std::size_t i = 0; i < n; ++i) tmp[i] = ycur[i] + 0.5 * hs * k1[i];
-      p_.rhs(ts + 0.5 * hs, tmp, k2);
-      for (std::size_t i = 0; i < n; ++i) tmp[i] = ycur[i] + 0.5 * hs * k2[i];
-      p_.rhs(ts + 0.5 * hs, tmp, k3);
-      for (std::size_t i = 0; i < n; ++i) tmp[i] = ycur[i] + hs * k3[i];
-      p_.rhs(ts + hs, tmp, k4);
-      stats_.rhs_calls += 4;
-      for (std::size_t i = 0; i < n; ++i) {
-        ycur[i] += hs / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
-      }
-      ts += hs;
-    }
+    detail::rk4_substeps(p_, t_, ycur, h, 20, stats_);
     t_ = p_.tend;
     history_.insert(history_.begin(), ycur);
     ++stats_.steps;
@@ -263,7 +209,7 @@ bool BdfStepper::step() {
     if (history_.size() > 6) {
       history_.pop_back();
     }
-    if (!clipped && order_ < opts_.max_order &&
+    if (!clipped && order_ < opts_.bdf_max_order &&
         static_cast<int>(history_.size()) > order_) {
       ++order_;
     }
@@ -277,10 +223,8 @@ bool BdfStepper::step() {
     if (!fixed && !clipped) {
       const double fac =
           0.9 * std::pow(std::max(err, 1e-10), -1.0 / (k + 1));
-      const double hmax =
-          opts_.hmax > 0.0 ? opts_.hmax : (p_.tend - p_.t0);
       if (fac > 2.0 && rem > 8.0 * h_ && history_.size() >= 3 &&
-          2.0 * h_ <= hmax) {
+          2.0 * h_ <= hmax_) {
         std::vector<std::vector<double>> subsampled;
         for (std::size_t i = 0; i < history_.size(); i += 2) {
           subsampled.push_back(history_[i]);
@@ -319,73 +263,5 @@ bool BdfStepper::step() {
   }
   return false;
 }
-
-namespace detail {
-
-SolverStats bdf(const Problem& p, const BdfOptions& opts,
-                TrajectorySink& sink, std::uint32_t scenario) {
-  p.validate();
-  obs::Span solve_span("bdf", "ode");
-  BdfStepper stepper(p, opts);
-  TrajectoryWriter rec(sink, scenario, p.n);
-  rec.append(p.t0, p.y0);
-
-  EventHandler events(p.events, p.n);
-  std::vector<double> yprev(p.n);
-  // Localization interpolates the BDF history polynomial itself; the
-  // sweep's restart() truncates the history and invalidates the
-  // JacobianEngine, so the first post-event step re-evaluates rather
-  // than reusing a stale factorization.
-  auto make_dense = [&](double, const std::vector<double>&) {
-    return stepper.last_step_dense();
-  };
-  if (events.armed()) {
-    events.prime(p.t0, p.y0);
-    // The fixed-step bootstrap (fixed_h mode) advances RK4 substeps at
-    // construction; sweep that jump like any other.
-    yprev = p.y0;
-    if (sweep_stepper_events(events, stepper, "bdf", p.t0, yprev, rec,
-                             make_dense)) {
-      const SolverStats stats = stepper.stats();
-      publish_solver_stats(stats);
-      rec.finish(stats);
-      return stats;
-    }
-  }
-
-  std::size_t accepted = 0;
-  std::size_t attempts = 0;
-  bool terminated = false;
-  while (!terminated && stepper.t() < p.tend) {
-    poll_cancel(opts.cancel, "bdf");
-    if (++attempts > opts.max_steps) {
-      throw omx::Error("bdf: max_steps exceeded");
-    }
-    const double tprev = stepper.t();
-    if (stepper.step()) {
-      const std::size_t fired_before = events.events_fired();
-      if (events.armed() &&
-          sweep_stepper_events(events, stepper, "bdf", tprev, yprev, rec,
-                               make_dense)) {
-        terminated = true;
-        break;
-      }
-      ++accepted;
-      // An event rolled the stepper back to the crossing and recorded
-      // its pre/post rows; the step's original endpoint is void, so the
-      // cadence row would just duplicate the event time.
-      if (events.events_fired() == fired_before &&
-          (accepted % opts.record_every == 0 || stepper.t() >= p.tend)) {
-        rec.append(stepper.t(), stepper.y());
-      }
-    }
-  }
-  const SolverStats stats = stepper.stats();
-  publish_solver_stats(stats);
-  rec.finish(stats);
-  return stats;
-}
-
-}  // namespace detail
 
 }  // namespace omx::ode

@@ -9,41 +9,22 @@
 // factorizations are reused across Newton iterations and steps, a
 // beta*h change alone refactors with the existing Jacobian values, and
 // only divergence, slow convergence, or age re-evaluates the Jacobian
-// (LSODA-style; see ode/jacobian.hpp).
+// (LSODA-style; see ode/jacobian.hpp). The multistep driver
+// (ode/multistep.hpp) runs the segment loop.
 #pragma once
 
-#include <memory>
-
-#include "omx/la/lu.hpp"
 #include "omx/ode/events.hpp"
 #include "omx/ode/jacobian.hpp"
-#include "omx/ode/sink.hpp"
+#include "omx/ode/solve.hpp"
 
 namespace omx::ode {
 
-struct BdfOptions {
-  Tolerances tol{};
-  int max_order = 2;   // 1..5; adaptive runs ramp up to this order
-  double h0 = 0.0;     // 0 = automatic
-  double hmax = 0.0;
-  std::size_t max_steps = 1000000;
-  std::size_t newton_max_iters = 8;
-  std::size_t record_every = 1;
-  /// Fixed-step mode (no error control) when > 0 — used by the
-  /// convergence-order tests.
-  double fixed_h = 0.0;
-  /// Color-group evaluation threads for the compressed-FD Jacobian
-  /// (takes effect only with a bound batch_rhs; see colored_fd_jacobian).
-  int jac_threads = 1;
-  /// Accepted steps a Jacobian may age before a forced re-evaluation.
-  std::size_t jac_max_age = 20;
-  /// Polled once per step attempt; throws Cancelled when it reads true.
-  const std::atomic<bool>* cancel = nullptr;
-};
-
 class BdfStepper {
  public:
-  BdfStepper(const Problem& p, const BdfOptions& opts);
+  /// Starts at (p.t0, p.y0) with step opts.bdf_fixed_h when > 0 (fixed-
+  /// step mode), else opts.h0 (0 = automatic). Reads opts.tol, hmax,
+  /// bdf_max_order, newton_max_iters and jac_threads.
+  BdfStepper(const Problem& p, const SolverOptions& opts);
 
   void restart(double t, std::span<const double> y, double h);
 
@@ -53,7 +34,6 @@ class BdfStepper {
   double t() const { return t_; }
   std::span<const double> y() const { return history_.front(); }
   double h() const { return h_; }
-  int current_order() const { return order_; }
   /// Newton iterations used by the last accepted step (fast convergence
   /// signals the problem is no longer stiff — switch-back heuristic).
   std::size_t last_newton_iters() const { return last_newton_iters_; }
@@ -75,7 +55,8 @@ class BdfStepper {
                     std::span<double> out);
 
   const Problem& p_;
-  BdfOptions opts_;
+  SolverOptions opts_;
+  double hmax_;  // resolved: opts.hmax, or p.tend - p.t0 when 0
   JacobianEngine jac_engine_;
 
   double t_ = 0.0;
@@ -90,12 +71,5 @@ class BdfStepper {
   std::size_t last_newton_iters_ = 0;
   SolverStats stats_;
 };
-
-namespace detail {
-/// Streaming core: accepted steps flow to `sink` under scenario id
-/// `scenario`; the returned statistics are also delivered via finish().
-SolverStats bdf(const Problem& p, const BdfOptions& opts,
-                TrajectorySink& sink, std::uint32_t scenario = 0);
-}  // namespace detail
 
 }  // namespace omx::ode

@@ -170,28 +170,15 @@ struct WorkSource {
 /// Scenario-at-a-time path for the multistep/stiff methods: a plain
 /// streaming solve per scenario. When a batched kernel is bound, every
 /// evaluation of the solve — its rhs at width 1 and the colored-FD
-/// Jacobian's batched calls at any width — runs on the worker's own
-/// lane, and batch_lanes = 1 keeps the Jacobian from fanning out onto
-/// other workers' lanes.
+/// Jacobian's batched calls — runs on the worker's own lane, and the
+/// one-lane block keeps the Jacobian from fanning out onto other
+/// workers' lanes.
 SolverStats solve_single(const Problem& p, Method method,
                          const SolverOptions& opts,
                          std::span<const double> y0, std::size_t lane,
                          TrajectorySink& sink, std::uint32_t scenario) {
-  Problem q = p;
+  Problem q = p.batch_rhs ? bind_lanes(p, lane, 1) : p;
   q.y0.assign(y0.begin(), y0.end());
-  if (p.batch_rhs) {
-    const Problem* base = &p;
-    q.set_batch_rhs([base, lane](std::size_t, std::size_t nb,
-                                 const double* t, const double* y_soa,
-                                 double* ydot_soa) {
-      base->batch_rhs(lane, nb, t, y_soa, ydot_soa);
-    });
-    q.batch_lanes = 1;
-    q.set_rhs([base, lane](double t, std::span<const double> y,
-                           std::span<double> ydot) {
-      base->batch_rhs(lane, 1, &t, y.data(), ydot.data());
-    });
-  }
   return solve(q, method, opts, sink, scenario);
 }
 

@@ -17,6 +17,13 @@ namespace omx::ode {
 
 namespace {
 
+// JacobianEngine's reuse policy: accepted steps a Jacobian may age before
+// a forced re-evaluation (LSODA's MSBP), and the Newton iteration count
+// at/above which convergence counts as degraded, so the next prepare()
+// re-evaluates.
+constexpr std::size_t kMaxAge = 20;
+constexpr std::size_t kSlowIters = 5;
+
 bool env_flag(const char* name) {
   return config::get_bool(name, false);
 }
@@ -181,8 +188,8 @@ void colored_fd_jacobian(const Problem& p, const JacPlan& plan, double t,
   rhs_calls += ng;
 }
 
-JacobianEngine::JacobianEngine(const Problem& p, const Config& cfg)
-    : p_(p), cfg_(cfg) {
+JacobianEngine::JacobianEngine(const Problem& p, int jac_threads)
+    : p_(p), jac_threads_(jac_threads) {
   plan_ = p.jac_plan ? p.jac_plan : make_jac_plan(p);
   if (plan_) {
     jac_csr_ = la::CsrMatrix(plan_->pattern);
@@ -235,7 +242,7 @@ void JacobianEngine::eval_jacobian(double t, std::span<const double> y,
   } else {
     obs::Span span("jacobian_fd_colored", "ode");
     colored_fd_jacobian(p_, *plan_, t, y, jac_csr_, stats.rhs_calls,
-                        cfg_.jac_threads);
+                        jac_threads_);
   }
   if (!plan_->use_sparse) {
     // Dense backend over a known pattern: same colored/symbolic values,
@@ -278,7 +285,7 @@ la::LinearSolver& JacobianEngine::prepare(double t,
                                           double beta_h,
                                           SolverStats& stats) {
   const bool need_jac =
-      !have_jac_ || refresh_requested_ || age_ >= cfg_.max_age;
+      !have_jac_ || refresh_requested_ || age_ >= kMaxAge;
   const bool need_factor =
       need_jac || !solver_ || factored_beta_h_ != beta_h;
   if (need_jac) {
@@ -314,7 +321,7 @@ void JacobianEngine::invalidate() {
 
 void JacobianEngine::on_step_accepted(std::size_t newton_iters) {
   ++age_;
-  if (newton_iters >= cfg_.slow_iters) {
+  if (newton_iters >= kSlowIters) {
     refresh_requested_ = true;  // convergence-rate degradation
   }
 }

@@ -47,7 +47,7 @@ void finite_difference_jacobian(const RhsFn& rhs, double t,
                                 std::uint64_t& rhs_calls);
 
 /// Prepared sparse-Jacobian plan, shared across Problem copies (ensemble
-/// lanes, auto-switch segments). Immutable once built.
+/// lanes, kLsodaLike segments). Immutable once built.
 struct JacPlan {
   /// Structural pattern augmented with the diagonal (the iteration
   /// matrix I - beta*h*J needs it).
@@ -104,19 +104,9 @@ class JacobianEvaluator {
 /// Newton iteration, with the LSODA-style reuse/refresh policy.
 class JacobianEngine {
  public:
-  struct Config {
-    /// Color-group evaluation threads (needs a bound batch_rhs to take
-    /// effect; see colored_fd_jacobian).
-    int jac_threads = 1;
-    /// Accepted steps a Jacobian may age before a forced re-evaluation
-    /// (LSODA's MSBP is 20).
-    std::size_t max_age = 20;
-    /// Newton iteration count at/above which convergence counts as
-    /// degraded — the next prepare() re-evaluates the Jacobian.
-    std::size_t slow_iters = 5;
-  };
-
-  JacobianEngine(const Problem& p, const Config& cfg);
+  /// `jac_threads`: color-group evaluation threads (needs a bound
+  /// batch_rhs to take effect; see colored_fd_jacobian).
+  JacobianEngine(const Problem& p, int jac_threads);
 
   /// Ensures a factorization of M = I - beta_h * J consistent with the
   /// reuse policy and returns the solver to iterate with. Evaluates the
@@ -147,7 +137,7 @@ class JacobianEngine {
   void factorize(double beta_h);
 
   const Problem& p_;
-  Config cfg_;
+  int jac_threads_;
   std::shared_ptr<const JacPlan> plan_;  // null = legacy dense path
   la::CsrMatrix jac_csr_;                // pattern path: Jacobian values
   la::CsrMatrix m_csr_;                  // pattern path: iteration matrix

@@ -35,6 +35,23 @@ void publish_solver_stats(const SolverStats& stats) {
   jac_reuse_hits.add(stats.jac_reuse_hits);
 }
 
+Problem bind_lanes(const Problem& p, std::size_t first, std::size_t count) {
+  OMX_REQUIRE(p.batch_rhs, "bind_lanes needs a bound batch_rhs");
+  auto base = std::make_shared<const Problem>(p);
+  Problem q = p;
+  q.set_batch_rhs([base, first](std::size_t lane, std::size_t nb,
+                                const double* t, const double* y_soa,
+                                double* ydot_soa) {
+    base->batch_rhs(first + lane, nb, t, y_soa, ydot_soa);
+  });
+  q.batch_lanes = count;
+  q.set_rhs([base, first](double t, std::span<const double> y,
+                          std::span<double> ydot) {
+    base->batch_rhs(first, 1, &t, y.data(), ydot.data());
+  });
+  return q;
+}
+
 void Problem::validate() const {
   if (n == 0 || !rhs) {
     throw omx::Error("ODE problem needs n > 0 and an RHS function");

@@ -106,13 +106,13 @@ struct Problem {
   SparseJacFn sparse_jacobian;
   /// Prepared Jacobian plan (pattern + coloring + dense/sparse backend
   /// choice). Built lazily by the stiff solvers from `sparsity` when
-  /// absent; ode::solve_ensemble and ode::auto_switch prepare it once
+  /// absent; ode::solve_ensemble and the multistep driver prepare it once
   /// and share it across lanes / switch segments via Problem copies.
   std::shared_ptr<const JacPlan> jac_plan;
 
   /// Optional hybrid-model events: zero-crossing guards with direction
   /// filters and reset actions (see ode/events.hpp). Every driver —
-  /// including solve_ensemble lanes and auto_switch segments — detects
+  /// including solve_ensemble lanes and kLsodaLike segments — detects
   /// sign changes per accepted step, localizes the crossing with dense
   /// output, applies the reset, and restarts cleanly. Null = smooth
   /// problem, zero overhead.
@@ -180,7 +180,31 @@ struct SolverStats {
   std::uint64_t events = 0;
   /// Events that terminated the integration before tend.
   std::uint64_t events_terminal = 0;
+
+  /// Adds every counter of `o` (a segment's or a subsystem's statistics
+  /// into a total).
+  SolverStats& operator+=(const SolverStats& o) {
+    rhs_calls += o.rhs_calls;
+    jac_calls += o.jac_calls;
+    steps += o.steps;
+    rejected += o.rejected;
+    newton_iters += o.newton_iters;
+    method_switches += o.method_switches;
+    jac_factorizations += o.jac_factorizations;
+    jac_reuse_hits += o.jac_reuse_hits;
+    events += o.events;
+    events_terminal += o.events_terminal;
+    return *this;
+  }
 };
+
+/// A copy of `p` whose evaluations all run on kernel lanes
+/// [first, first + count) of p.batch_rhs: a batched call on lane l goes
+/// to lane first + l, batch_lanes becomes `count`, and the scalar rhs is
+/// a width-1 batched call on lane `first`. Gives a worker (or a service
+/// executor) a lane block of its own on a kernel with per-lane
+/// workspaces. The copy shares ownership of p's bound callables.
+Problem bind_lanes(const Problem& p, std::size_t first, std::size_t count);
 
 /// Adds one completed solve's statistics to the process-wide telemetry
 /// registry (ode.solves, ode.steps, ode.steps_rejected, ode.rhs_calls,

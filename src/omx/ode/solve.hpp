@@ -4,7 +4,19 @@
 // solver (the historical per-driver free functions are gone). One
 // options struct covers every method; fields a method does not use are
 // ignored (dt drives only the fixed-step methods, bdf_* only the stiff
-// ones, and so on).
+// ones, and so on). The three multistep methods (kAdamsPece, kBdf,
+// kLsodaLike) run one driver (ode/multistep.hpp), so every adaptive
+// field (tol, h0, hmax, max_steps, record_every, cancel) applies to all
+// three the same way, and the BDF fields (bdf_max_order,
+// newton_max_iters, jac_threads) to kBdf and kLsodaLike's BDF phase
+// alike.
+//
+// Start-up rows: an Adams segment starts by building its derivative
+// history with RK4 substeps, which already advances time. Every Adams
+// segment — kAdamsPece's, and each of kLsodaLike's (the first, and each
+// after a switch back from BDF) — records the state just after that
+// start-up as a row, whatever record_every is (unless a terminal event
+// fired inside the start-up).
 //
 // Two forms: the Solution-returning overload materializes the full
 // trajectory (internally a SolutionSink), and the TrajectorySink
@@ -41,9 +53,12 @@ struct SolverOptions {
   Tolerances tol{};
   /// Step size for the fixed-step methods.
   double dt = 1e-3;
-  /// Initial step for the adaptive methods (0 = automatic).
+  /// Initial step for the adaptive methods (0 = automatic). kLsodaLike
+  /// starts its first segment with it; segments after a switch pick
+  /// their own.
   double h0 = 0.0;
-  /// Step-size ceiling for the adaptive methods (0 = tend - t0).
+  /// Step-size ceiling for the adaptive methods (0 = tend - t0; for a
+  /// kLsodaLike segment after a switch, tend - the switch time).
   double hmax = 0.0;
   std::size_t max_steps = 1000000;
   /// Record every k-th accepted step (1 = all); the final state is
@@ -51,13 +66,15 @@ struct SolverOptions {
   std::size_t record_every = 1;
   /// BDF order cap (kBdf ramps up to it; kLsodaLike's stiff phase too).
   int bdf_max_order = 2;
+  /// Newton iterations per BDF step attempt (kBdf and kLsodaLike).
   std::size_t newton_max_iters = 8;
   /// kBdf only: fixed-step mode without error control when > 0
   /// (convergence-order studies).
   double bdf_fixed_h = 0.0;
-  /// Stiff methods: color-group evaluation threads for the compressed-FD
-  /// Jacobian (effective only with a bound batch_rhs; the plain RhsFn
-  /// carries no thread-safety guarantee).
+  /// Stiff methods (kBdf and kLsodaLike's BDF phase): color-group
+  /// evaluation threads for the compressed-FD Jacobian (effective only
+  /// with a bound batch_rhs; the plain RhsFn carries no thread-safety
+  /// guarantee).
   int jac_threads = 1;
   /// Cooperative cancellation: when non-null, every driver polls the flag
   /// once per step attempt (and solve_ensemble once per batch round) and
@@ -68,8 +85,9 @@ struct SolverOptions {
 };
 
 /// Integrates `p` with the chosen method. Statistics are on the returned
-/// Solution and in the global telemetry registry; for the per-switch
-/// event record of kLsodaLike use ode::auto_switch directly.
+/// Solution and in the global telemetry registry. kLsodaLike counts its
+/// switches in SolverStats::method_switches; each switch's time and
+/// target method is a kMethodSwitch flight-recorder event.
 Solution solve(const Problem& p, Method method,
                const SolverOptions& opts = {});
 

@@ -224,7 +224,8 @@ struct Server::Impl {
   // Executor work queue (compiles and jobs alike).
   std::mutex task_mutex;
   std::condition_variable task_cv;
-  std::deque<std::function<void()>> tasks;
+  // Each task gets the index of the executor running it.
+  std::deque<std::function<void(std::size_t)>> tasks;
 
   // Connections: the event loop owns the map; service_json and sends
   // from executors go through the mutex / the conn's own atomics.
@@ -251,7 +252,7 @@ struct Server::Impl {
   void start();
   void stop();
   void loop();
-  void executor();
+  void executor(std::size_t e);
 
   // ------------------------------------------------------------- wiring
 
@@ -262,7 +263,7 @@ struct Server::Impl {
     }
   }
 
-  void post(std::function<void()> task) {
+  void post(std::function<void(std::size_t)> task) {
     {
       const std::lock_guard<std::mutex> lock(task_mutex);
       tasks.push_back(std::move(task));
@@ -298,8 +299,13 @@ struct Server::Impl {
   void handle_submit(const std::shared_ptr<Conn>& conn, const Message& m);
   void handle_cancel(const std::shared_ptr<Conn>& conn, const Message& m);
   void handle_stats(const std::shared_ptr<Conn>& conn);
-  void run_job(const std::shared_ptr<Job>& job);
+  void run_job(const std::shared_ptr<Job>& job, std::size_t e);
   void close_conn(const std::shared_ptr<Conn>& conn);
+
+  /// Interpreter-kernel lanes per executor (see ServerOptions).
+  std::size_t lanes_per_executor() const {
+    return std::max<std::size_t>(1, opts.job_workers);
+  }
 
   std::shared_ptr<ModelEntry> compile_model_payload(const std::string& json,
                                                     bool& cached);
@@ -407,7 +413,7 @@ void Server::Impl::start() {
   loop_thread = std::thread([this] { loop(); });
   executor_threads.reserve(opts.executors);
   for (std::size_t i = 0; i < opts.executors; ++i) {
-    executor_threads.emplace_back([this] { executor(); });
+    executor_threads.emplace_back([this, i] { executor(i); });
   }
 }
 
@@ -450,9 +456,9 @@ void Server::Impl::stop() {
   listen_fd = wake_rd = wake_wr = -1;
 }
 
-void Server::Impl::executor() {
+void Server::Impl::executor(std::size_t e) {
   for (;;) {
-    std::function<void()> task;
+    std::function<void(std::size_t)> task;
     {
       std::unique_lock<std::mutex> lock(task_mutex);
       task_cv.wait(lock, [this] {
@@ -464,7 +470,7 @@ void Server::Impl::executor() {
       task = std::move(tasks.front());
       tasks.pop_front();
     }
-    task();
+    task(e);
   }
 }
 
@@ -740,7 +746,7 @@ std::shared_ptr<ModelEntry> Server::Impl::compile_model_payload(
   entry->id = key;
   entry->cm = pipeline::compile_model(builder);
   pipeline::KernelOptions ko;
-  ko.lanes = opts.kernel_lanes;
+  ko.lanes = opts.executors * lanes_per_executor();
   entry->kernel = entry->cm.make_kernel(opts.backend, ko);
   entry->backend_name = exec::to_string(entry->kernel.backend());
   entry->y0.resize(entry->cm.n());
@@ -753,7 +759,7 @@ std::shared_ptr<ModelEntry> Server::Impl::compile_model_payload(
 
 void Server::Impl::handle_compile(const std::shared_ptr<Conn>& conn,
                                   Message m) {
-  post([this, conn, m = std::move(m)] {
+  post([this, conn, m = std::move(m)](std::size_t) {
     try {
       bool cached = false;
       const std::shared_ptr<ModelEntry> entry =
@@ -877,7 +883,7 @@ void Server::Impl::handle_submit(const std::shared_ptr<Conn>& conn,
   r.type = MsgType::kOk;
   r.json = "{\"job\": " + std::to_string(job->id) + "}";
   send(conn, r);
-  post([this, job] { run_job(job); });
+  post([this, job](std::size_t e) { run_job(job, e); });
 }
 
 void Server::Impl::handle_cancel(const std::shared_ptr<Conn>& conn,
@@ -922,7 +928,7 @@ void Server::Impl::handle_stats(const std::shared_ptr<Conn>& conn) {
   send(conn, r);
 }
 
-void Server::Impl::run_job(const std::shared_ptr<Job>& job) {
+void Server::Impl::run_job(const std::shared_ptr<Job>& job, std::size_t e) {
   if (job->queued) {
     gate.on_start();
     record_queue_depth();
@@ -933,8 +939,15 @@ void Server::Impl::run_job(const std::shared_ptr<Job>& job) {
   bool cancelled = false;
   std::string error;
   try {
-    const ode::Problem problem =
+    ode::Problem problem =
         job->model->cm.make_problem(job->model->kernel, job->t0, job->tend);
+    if (problem.batch_lanes > 0) {
+      // An interpreter kernel keeps one workspace per lane, and one
+      // cached kernel serves every executor: run this job on executor
+      // e's own lane block so concurrent jobs never share a workspace.
+      const std::size_t b = lanes_per_executor();
+      problem = ode::bind_lanes(problem, e * b, b);
+    }
     if (job->autotune) {
       // Daemon-side configuration pick: once enough submitted jobs have
       // calibrated the model for this problem size, override the

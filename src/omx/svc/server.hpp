@@ -46,10 +46,11 @@ struct ServerOptions {
   std::size_t max_frame_bytes = kDefaultMaxFrame;
   /// solve_ensemble workers per job. The default keeps one job on one
   /// core so `executors` jobs share the machine predictably; a single
-  /// dedicated server would raise it instead of `executors`.
+  /// dedicated server would raise it instead of `executors`. Interpreter
+  /// kernels get `executors * job_workers` lanes, a block of job_workers
+  /// per executor, which also caps a job's workers (requested or
+  /// autotuned) on them.
   std::size_t job_workers = 1;
-  /// Interpreter lanes / batch width for compiled kernels.
-  std::size_t kernel_lanes = 8;
   exec::Backend backend = exec::Backend::kNative;
 };
 

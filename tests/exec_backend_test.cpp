@@ -5,6 +5,8 @@
 // when the toolchain is unavailable.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
@@ -559,6 +561,55 @@ TEST(Ensemble, StiffLanesOverBatchedKernelMatchSequentialSolves) {
         EXPECT_EQ(b[i], a[i])
             << to_string(m) << " scenario " << s << " slot " << i;
       }
+    }
+  }
+}
+
+TEST(Multistep, LsodaLikeHonoursJacThreads) {
+  // kLsodaLike's BDF phase builds its colored-FD Jacobians with the
+  // caller's jac_threads: with 2 the color groups split over both kernel
+  // lanes, and lane independence keeps the trajectory bitwise that of
+  // one thread.
+  pipeline::CompiledModel cm = pipeline::compile_model(
+      [](expr::Context& ctx) {
+        models::BearingConfig cfg;
+        cfg.n_rollers = 4;
+        return models::build_bearing(ctx, cfg);
+      });
+  pipeline::KernelOptions ko;
+  ko.lanes = 2;
+  const KernelInstance k = cm.make_kernel(Backend::kInterp, ko);
+  const ode::Problem base = cm.make_problem(k, 0.0, 0.02);
+  ASSERT_EQ(base.batch_lanes, 2u);
+  ASSERT_TRUE(base.sparsity);
+
+  std::array<std::atomic<int>, 2> lane_calls{};
+  ode::Problem p = base;
+  p.set_batch_rhs([&base, &lane_calls](std::size_t lane, std::size_t nb,
+                                       const double* t, const double* y_soa,
+                                       double* ydot_soa) {
+    lane_calls.at(lane).fetch_add(1, std::memory_order_relaxed);
+    base.batch_rhs(lane, nb, t, y_soa, ydot_soa);
+  });
+
+  ode::SolverOptions o;
+  const ode::Solution one = ode::solve(p, ode::Method::kLsodaLike, o);
+  ASSERT_GE(one.stats.method_switches, 1u) << "never reached the BDF phase";
+  ASSERT_GT(one.stats.jac_calls, 0u);
+  EXPECT_EQ(lane_calls[1].load(), 0);
+
+  o.jac_threads = 2;
+  const ode::Solution two = ode::solve(p, ode::Method::kLsodaLike, o);
+  EXPECT_GT(lane_calls[1].load(), 0) << "jac_threads = 2 stayed on lane 0";
+  EXPECT_EQ(two.stats.steps, one.stats.steps);
+  EXPECT_EQ(two.stats.rhs_calls, one.stats.rhs_calls);
+  EXPECT_EQ(two.stats.jac_calls, one.stats.jac_calls);
+  ASSERT_EQ(two.size(), one.size());
+  for (std::size_t r = 0; r < one.size(); ++r) {
+    EXPECT_EQ(two.time(r), one.time(r)) << "row " << r;
+    for (std::size_t i = 0; i < cm.n(); ++i) {
+      EXPECT_EQ(two.state(r)[i], one.state(r)[i])
+          << "row " << r << " slot " << i;
     }
   }
 }

@@ -3,10 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "omx/analysis/partition.hpp"
 #include "omx/models/heat1d.hpp"
-#include "omx/ode/auto_switch.hpp"
+#include "omx/obs/recorder.hpp"
 #include "omx/ode/solve.hpp"
 #include "omx/pipeline/pipeline.hpp"
 
@@ -111,12 +112,22 @@ TEST(Heat1d, LsodaLikeDetectsStiffness) {
   cfg.n_cells = 40;
   pipeline::CompiledModel cm = compile_heat(cfg);
   ode::Problem p = cm.make_problem(exec::Backend::kInterp, 0.0, 0.5);
-  ode::AutoSwitchOptions o;
+  ode::SolverOptions o;
   o.tol.rtol = 1e-6;
   o.record_every = 1u << 30;
-  const ode::AutoSwitchResult r = ode::auto_switch(p, o);
-  ASSERT_FALSE(r.switches.empty());
-  EXPECT_EQ(r.switches.front().to, ode::SwitchMethod::kBdf);
+  obs::Recorder& rec = obs::Recorder::global();
+  rec.start();
+  const ode::Solution s = ode::solve(p, ode::Method::kLsodaLike, o);
+  rec.stop();
+  ASSERT_GE(s.stats.method_switches, 1u);
+  std::string first_target;
+  for (const obs::StepEvent& ev : rec.events()) {
+    if (ev.kind == obs::StepEventKind::kMethodSwitch) {
+      first_target = ev.method;
+      break;
+    }
+  }
+  EXPECT_EQ(first_target, "bdf");
 }
 
 TEST(Heat1d, EnergyDecaysMonotonically) {

@@ -3,8 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
-#include "omx/ode/auto_switch.hpp"
+#include "omx/obs/recorder.hpp"
 #include "omx/ode/solve.hpp"
 
 namespace omx::ode {
@@ -168,7 +169,8 @@ TEST(Bdf, NewtonStatsAccumulate) {
   EXPECT_GT(s.stats.jac_calls, 0u);
 }
 
-TEST(AutoSwitch, StaysOnAdamsForNonStiff) {
+/// Non-stiff harmonic oscillator, y = (cos t, -sin t).
+Problem oscillator(double tend) {
   Problem p;
   p.n = 2;
   p.set_rhs([](double, std::span<const double> y, std::span<double> f) {
@@ -176,40 +178,55 @@ TEST(AutoSwitch, StaysOnAdamsForNonStiff) {
     f[1] = -y[0];
   });
   p.t0 = 0.0;
-  p.tend = 10.0;
+  p.tend = tend;
   p.y0 = {1.0, 0.0};
-  AutoSwitchOptions o;
-  const AutoSwitchResult r = auto_switch(p, o);
-  EXPECT_TRUE(r.switches.empty());
-  EXPECT_EQ(r.final_method, SwitchMethod::kAdams);
+  return p;
+}
+
+/// The target method of the first kMethodSwitch event in the global
+/// flight recorder's log ("" when there is none).
+std::string first_switch_target() {
+  for (const obs::StepEvent& ev : obs::Recorder::global().events()) {
+    if (ev.kind == obs::StepEventKind::kMethodSwitch) {
+      return ev.method;
+    }
+  }
+  return "";
+}
+
+TEST(AutoSwitch, StaysOnAdamsForNonStiff) {
+  const Problem p = oscillator(10.0);
+  const Solution s = solve(p, Method::kLsodaLike, {});
+  EXPECT_EQ(s.stats.method_switches, 0u);
   // Local-error-per-step control: global error ~ steps * tolerance.
-  EXPECT_NEAR(r.solution.final_state()[0], std::cos(10.0), 1e-2);
+  EXPECT_NEAR(s.final_state()[0], std::cos(10.0), 1e-2);
 }
 
 TEST(AutoSwitch, SwitchesToBdfOnStiffProblem) {
   const Problem p = stiff_tracking(2.0);
-  AutoSwitchOptions o;
-  const AutoSwitchResult r = auto_switch(p, o);
-  ASSERT_FALSE(r.switches.empty());
-  EXPECT_EQ(r.switches.front().to, SwitchMethod::kBdf);
-  EXPECT_NEAR(r.solution.final_state()[0], std::cos(2.0), 1e-2);
-  EXPECT_GE(r.solution.stats.method_switches, 1u);
+  obs::Recorder& rec = obs::Recorder::global();
+  rec.start();
+  const Solution s = solve(p, Method::kLsodaLike, {});
+  rec.stop();
+  EXPECT_EQ(first_switch_target(), "bdf");
+  EXPECT_NEAR(s.final_state()[0], std::cos(2.0), 1e-2);
+  EXPECT_GE(s.stats.method_switches, 1u);
 }
 
 TEST(AutoSwitch, SolvesVanDerPol) {
   const Problem p = van_der_pol(100.0, 5.0);
-  AutoSwitchOptions o;
+  SolverOptions o;
   o.tol.rtol = 1e-5;
   o.tol.atol = 1e-7;
-  const AutoSwitchResult r = auto_switch(p, o);
-  EXPECT_LE(std::fabs(r.solution.final_state()[0]), 2.1);
+  const Solution s = solve(p, Method::kLsodaLike, o);
+  EXPECT_LE(std::fabs(s.final_state()[0]), 2.1);
 }
 
 TEST(AutoSwitch, RecordsMergedStats) {
   const Problem p = stiff_tracking(2.0);
-  const AutoSwitchResult r = auto_switch(p, {});
-  EXPECT_GT(r.solution.stats.rhs_calls, 0u);
-  EXPECT_GT(r.solution.stats.steps, 0u);
+  const Solution s = solve(p, Method::kLsodaLike, {});
+  EXPECT_GT(s.stats.rhs_calls, 0u);
+  EXPECT_GT(s.stats.steps, 0u);
 }
 
 TEST(AutoSwitch, SolveDispatchesLsodaLike) {
@@ -217,6 +234,31 @@ TEST(AutoSwitch, SolveDispatchesLsodaLike) {
   const Solution s = solve(p, Method::kLsodaLike, {});
   EXPECT_NEAR(s.final_state()[0], std::cos(2.0), 1e-2);
   EXPECT_GE(s.stats.method_switches, 1u);
+}
+
+TEST(Multistep, NonSwitchingLsodaLikeEqualsAdams) {
+  // kLsodaLike's Adams segment is kAdamsPece's: a solve that never turns
+  // stiff takes the same steps and records the same rows (the post-
+  // start-up row included); only the stiffness probes cost extra RHS
+  // calls.
+  const Problem p = oscillator(10.0);
+  for (const std::size_t every : {1u, 3u}) {
+    SolverOptions o;
+    o.record_every = every;
+    const Solution a = solve(p, Method::kAdamsPece, o);
+    const Solution l = solve(p, Method::kLsodaLike, o);
+    ASSERT_EQ(l.stats.method_switches, 0u);
+    EXPECT_EQ(l.stats.steps, a.stats.steps);
+    EXPECT_EQ(l.stats.rejected, a.stats.rejected);
+    EXPECT_GT(l.stats.rhs_calls, a.stats.rhs_calls);
+    ASSERT_EQ(l.size(), a.size()) << "record_every " << every;
+    for (std::size_t r = 0; r < a.size(); ++r) {
+      EXPECT_EQ(l.time(r), a.time(r)) << "row " << r;
+      for (std::size_t i = 0; i < p.n; ++i) {
+        EXPECT_EQ(l.state(r)[i], a.state(r)[i]) << "row " << r;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -194,7 +194,7 @@ TEST(Adams, FewerRhsCallsPerStepThanRk4) {
 
 TEST(Adams, StepperRestartWorks) {
   const Problem p = oscillator(10.0);
-  AdamsStepper st(p, {});
+  AdamsStepper st(p, SolverOptions{});
   const double t_initial = st.t();
   EXPECT_GT(t_initial, 0.0);  // startup advanced the RK4 bootstrap
   while (st.t() < 5.0) {
