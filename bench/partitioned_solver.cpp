@@ -15,17 +15,24 @@
 // The second half measures point (3) *inside* a subsystem: the legacy
 // dense stiff path (dense FD Jacobian + dense LU) against the sparse
 // pipeline (structural pattern + colored FD + sparse LU) on the
-// tridiagonal heat-PDE stencil across sizes, exporting BENCH_sparse.json
-// for scripts/bench_gate.py (gate_sparse: parity at n <= 16, >= 2x at
-// the largest size).
+// tridiagonal heat-PDE stencil across sizes, and the sparse LU against
+// dense LU on the 10/20/40-roller bearing's iteration matrix, exporting
+// BENCH_sparse.json for scripts/bench_gate.py (gate_sparse: heat parity at
+// n <= 16 and >= 2x at the largest size; bearing L+U entries and factor
+// multiply-adds as ceilings).
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "omx/analysis/partition.hpp"
+#include "omx/la/lu.hpp"
+#include "omx/la/sparse.hpp"
 #include "omx/model/flatten.hpp"
+#include "omx/models/bearing2d.hpp"
 #include "omx/models/heat1d.hpp"
 #include "omx/obs/export.hpp"
 #include "omx/obs/registry.hpp"
@@ -94,6 +101,99 @@ double time_solve(const omx::ode::Problem& p, const omx::ode::SolverOptions& o,
   return best;
 }
 
+// -- sparse vs dense LU on the bearing's iteration matrix ------------------
+
+// The arrow-shaped bearing pattern (the inner ring couples to every
+// roller) is where the fill-reducing ordering matters: natural order
+// fills L+U to about n^2. M = I - beta_h * J at the state the solver
+// reaches at t = 0.02, at a small and a large beta_h, whose partial-
+// pivoting sequences differ.
+void bench_bearing_lu(omx::obs::Registry& metrics) {
+  using namespace omx;
+  using clock = std::chrono::steady_clock;
+  std::printf("\nsparse LU on the bearing iteration matrix (t = 0.02):\n");
+  std::printf("  %7s %5s %9s %9s %11s %11s %9s\n", "rollers", "n",
+              "L+U", "flops", "sparse us", "dense us", "speedup");
+  for (int rollers : {10, 20, 40}) {
+    models::BearingConfig cfg;
+    cfg.n_rollers = rollers;
+    pipeline::CompiledModel cm = pipeline::compile_model(
+        [&cfg](expr::Context& ctx) { return models::build_bearing(ctx, cfg); });
+    ode::Problem p = cm.make_problem(exec::Backend::kInterp, 0.0, 0.02);
+    ode::SolverOptions o;
+    o.tol.rtol = 1e-6;
+    o.tol.atol = 1e-9;
+    o.record_every = 1u << 30;
+    const ode::Solution sol = ode::solve(p, ode::Method::kLsodaLike, o);
+    const std::vector<double> y(sol.final_state().begin(),
+                                sol.final_state().end());
+    std::shared_ptr<const ode::JacPlan> plan = ode::make_jac_plan(p);
+    la::CsrMatrix jac(plan->pattern);
+    std::uint64_t calls = 0;
+    ode::colored_fd_jacobian(p, *plan, p.tend, y, jac, calls);
+
+    const la::SparsityPattern& sp = *plan->pattern;
+    la::CsrMatrix m(plan->pattern);
+    std::size_t factor_nnz = 0, factor_flops = 0;
+    for (double beta_h : {1e-5, 1e-3}) {
+      for (std::size_t r = 0; r < p.n; ++r) {
+        for (std::size_t k = sp.row_ptr[r]; k < sp.row_ptr[r + 1]; ++k) {
+          m.values()[k] =
+              (sp.col_idx[k] == r ? 1.0 : 0.0) - beta_h * jac.values()[k];
+        }
+      }
+      la::SparseLu lu(plan->pattern, plan->symbolic);
+      lu.factor(m);
+      factor_nnz = std::max(factor_nnz, lu.factor_nnz());
+      factor_flops = std::max(factor_flops, lu.factor_flops());
+    }
+
+    // Paired, interleaved, on the beta_h = 1e-3 matrix: refactor + one
+    // solve against dense LU + one solve; best of 7 rounds of 200 each.
+    la::SparseLu lu(plan->pattern, plan->symbolic);
+    lu.factor(m);
+    const la::Matrix md = m.to_dense();
+    std::vector<double> b(p.n, 1.0), x(p.n);
+    double sparse_s = 1e300, dense_s = 1e300;
+    for (int round = 0; round < 7; ++round) {
+      auto t0 = clock::now();
+      for (int i = 0; i < 200; ++i) {
+        lu.factor(m);
+        lu.solve(b, x);
+      }
+      const std::chrono::duration<double> ds = clock::now() - t0;
+      t0 = clock::now();
+      for (int i = 0; i < 200; ++i) {
+        la::LuFactors dense(md);
+        dense.solve(b, x);
+      }
+      const std::chrono::duration<double> dd = clock::now() - t0;
+      sparse_s = std::min(sparse_s, ds.count() / 200);
+      dense_s = std::min(dense_s, dd.count() / 200);
+    }
+    const double speedup = sparse_s > 0.0 ? dense_s / sparse_s : 0.0;
+    std::printf("  %7d %5zu %9zu %9zu %11.2f %11.2f %8.2fx\n", rollers, p.n,
+                factor_nnz, factor_flops, sparse_s * 1e6, dense_s * 1e6,
+                speedup);
+    char prefix[64];
+    std::snprintf(prefix, sizeof prefix, "sparse.bearing.r%d.", rollers);
+    const auto g = [&](const char* suffix, double v) {
+      metrics.gauge(std::string(prefix) + suffix).set(v);
+    };
+    g("n", static_cast<double>(p.n));
+    g("nnz", static_cast<double>(sp.nnz()));
+    g("factor_nnz", static_cast<double>(factor_nnz));
+    g("factor_flops", static_cast<double>(factor_flops));
+    g("predicted_factor_nnz", static_cast<double>(plan->symbolic.factor_nnz));
+    g("predicted_factor_flops",
+      static_cast<double>(plan->symbolic.factor_flops));
+    g("dense_flops", static_cast<double>(la::dense_lu_flops(p.n)));
+    g("sparse_factor_solve_s", sparse_s);
+    g("dense_factor_solve_s", dense_s);
+    g("sparse_over_dense", speedup);
+  }
+}
+
 void bench_sparse_backends() {
   using namespace omx;
   const std::vector<int> sizes{8, 16, 32, 64, 128};
@@ -159,6 +259,7 @@ void bench_sparse_backends() {
   }
   metrics.gauge("sparse.heat.largest_n")
       .set(static_cast<double>(sizes.back()));
+  bench_bearing_lu(metrics);
 
   const char* out_path = "BENCH_sparse.json";
   if (obs::write_file(out_path, obs::metrics_json(metrics.snapshot()))) {

@@ -36,6 +36,14 @@ What is gated vs merely reported:
   The structural counts are gated as exact ceilings — jac_build_rhs_calls
   <= colors + 1 and colors <= 5 for the tridiagonal stencil — because
   they are machine-independent. Absolute *_wall_s values are report-only.
+* sparse.bearing.r<N>.factor_nnz / factor_flops are the L+U entries and
+  elimination multiply-adds of the sparse LU on the 10/20/40-roller
+  bearing's iteration matrix. They are counts, gated as ceilings at the
+  baseline plus tolerance (the tolerance absorbs a pivot flipped by
+  host libm rounding along the trajectory; losing the fill-reducing
+  ordering multiplies them 3-20x). The predicted_* counts of the symbolic
+  minimum-degree phase are exact ceilings. The paired sparse/dense
+  factor+solve times and their ratio are report-only.
 * simd.native.batch*_over_scalar are same-machine per-call throughput
   ratios of the vectorized rhs_batch lanes over the scalar native entry
   point on the bearing model. The repo's >= 4x bar applies to the best
@@ -301,6 +309,22 @@ def gate_sparse(gate, current, baseline):
 
     for name in sorted(current):
         if name.startswith("sparse.heat.") and name.endswith("_wall_s"):
+            gate.report(name, current[name], baseline.get(name))
+
+    for name in sorted(baseline):
+        if not name.startswith("sparse.bearing."):
+            continue
+        if name.endswith(("predicted_factor_nnz", "predicted_factor_flops")):
+            gate.check_max(name, current.get(name, float("inf")),
+                           baseline[name], "baseline, symbolic")
+        elif name.endswith((".factor_nnz", ".factor_flops")):
+            ceiling = baseline[name] * (1.0 + gate.tolerance)
+            gate.check_max(name, current.get(name, float("inf")), ceiling,
+                           f"baseline {fmt(baseline[name])} "
+                           f"+ {gate.tolerance:.0%}")
+    for name in sorted(current):
+        if name.startswith("sparse.bearing.") and \
+                name.endswith(("_s", "sparse_over_dense")):
             gate.report(name, current[name], baseline.get(name))
 
 

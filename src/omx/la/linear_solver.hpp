@@ -2,8 +2,9 @@
 // backends. The implicit ODE solvers factor the Newton iteration matrix
 // M = I - h*beta*J once per refresh and then solve against many
 // right-hand sides; this interface lets them select dense vs sparse by
-// structure (fill ratio, bandwidth) without caring which factorization
-// they got.
+// predicted factorization flops without caring which factorization they
+// got. The two agree bitwise where the sparse ordering is natural and the
+// pivots coincide (see la/sparse.hpp), and to rounding elsewhere.
 #pragma once
 
 #include <cstddef>

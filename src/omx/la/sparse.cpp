@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <queue>
+#include <iterator>
+#include <numeric>
 #include <string>
 
 #include "omx/support/diagnostics.hpp"
@@ -69,11 +70,6 @@ SparsityPattern SparsityPattern::from_triplets(
     p.row_ptr[r++] = p.col_idx.size();
   }
   return p;
-}
-
-double SparsityPattern::fill_ratio() const {
-  const double total = static_cast<double>(rows) * static_cast<double>(cols);
-  return total == 0.0 ? 0.0 : static_cast<double>(nnz()) / total;
 }
 
 std::size_t SparsityPattern::lower_bandwidth() const {
@@ -198,69 +194,114 @@ Coloring color_columns(const SparsityPattern& p) {
   return out;
 }
 
-std::vector<std::size_t> reverse_cuthill_mckee(const SparsityPattern& p) {
-  OMX_REQUIRE(p.rows == p.cols, "RCM needs a square pattern");
+SymbolicLu minimum_degree(const SparsityPattern& p) {
+  OMX_REQUIRE(p.rows == p.cols, "minimum degree needs a square pattern");
   const std::size_t n = p.rows;
-  // Symmetrized adjacency (A + A^T), self-loops dropped.
-  std::vector<std::vector<std::size_t>> adj(n);
-  for (std::size_t r = 0; r < n; ++r) {
-    for (std::size_t k = p.row_ptr[r]; k < p.row_ptr[r + 1]; ++k) {
-      const std::size_t c = p.col_idx[k];
-      if (c != r) {
-        adj[r].push_back(c);
-        adj[c].push_back(r);
-      }
-    }
-  }
-  for (auto& nbrs : adj) {
-    std::sort(nbrs.begin(), nbrs.end());
-    nbrs.erase(std::unique(nbrs.begin(), nbrs.end()), nbrs.end());
+  // Quotient graph: var_adj holds each variable's remaining variable
+  // neighbours, elem_adj the elements (eliminated pivots, named by their
+  // variable) it belongs to, elem_vars each live element's variables. An
+  // element stands for the clique its pivot's elimination created, so
+  // fill is never stored.
+  std::vector<std::vector<std::size_t>> var_adj(n), elem_adj(n), elem_vars(n);
+  std::vector<std::size_t> degree(n);
+  const ColumnView cv = columns(p);
+  for (std::size_t i = 0; i < n; ++i) {
+    // Row i of A + A^T: row i of A merged with column i of A.
+    auto& nbrs = var_adj[i];
+    nbrs.reserve(p.row_ptr[i + 1] - p.row_ptr[i] + cv.col_ptr[i + 1] -
+                 cv.col_ptr[i]);
+    std::set_union(p.col_idx.begin() + p.row_ptr[i],
+                   p.col_idx.begin() + p.row_ptr[i + 1],
+                   cv.row_idx.begin() + cv.col_ptr[i],
+                   cv.row_idx.begin() + cv.col_ptr[i + 1],
+                   std::back_inserter(nbrs));
+    std::erase(nbrs, i);
+    degree[i] = nbrs.size();
   }
 
-  std::vector<std::size_t> order;
-  order.reserve(n);
-  std::vector<bool> visited(n, false);
-  std::vector<std::size_t> frontier;
-  for (;;) {
-    // Seed each component at its minimum-degree unvisited node.
-    std::size_t seed = SparsityPattern::npos;
+  std::vector<char> eliminated(n, 0), absorbed(n, 0);
+  std::vector<std::size_t> mark(n, 0);  // stamp: member of the current Lp
+  constexpr std::size_t kUnset = SparsityPattern::npos;
+  std::vector<std::size_t> ext(n, kUnset);  // |Le \ Lp| per touched element
+  std::vector<std::size_t> lp, touched;
+  SymbolicLu out;
+  out.order.reserve(n);
+  out.factor_nnz = n;
+  for (std::size_t step = 0; step < n; ++step) {
+    std::size_t piv = kUnset;
     for (std::size_t i = 0; i < n; ++i) {
-      if (!visited[i] &&
-          (seed == SparsityPattern::npos ||
-           adj[i].size() < adj[seed].size())) {
-        seed = i;
+      if (!eliminated[i] && (piv == kUnset || degree[i] < degree[piv])) {
+        piv = i;
       }
     }
-    if (seed == SparsityPattern::npos) {
-      break;
+    // Lp, the pivot's reach through variable edges and its elements, is
+    // its column of L (and row of U): exact, whatever the degrees were.
+    lp.clear();
+    mark[piv] = step + 1;
+    auto take = [&](std::size_t v) {
+      if (mark[v] != step + 1) {
+        mark[v] = step + 1;
+        lp.push_back(v);
+      }
+    };
+    for (std::size_t v : var_adj[piv]) {
+      take(v);
     }
-    visited[seed] = true;
-    std::queue<std::size_t> bfs;
-    bfs.push(seed);
-    while (!bfs.empty()) {
-      const std::size_t u = bfs.front();
-      bfs.pop();
-      order.push_back(u);
-      frontier.clear();
-      for (std::size_t v : adj[u]) {
-        if (!visited[v]) {
-          visited[v] = true;
-          frontier.push_back(v);
+    for (std::size_t e : elem_adj[piv]) {
+      for (std::size_t v : elem_vars[e]) {
+        take(v);
+      }
+      absorbed[e] = 1;  // folded into the new element
+      elem_vars[e] = {};
+    }
+    eliminated[piv] = 1;
+    out.order.push_back(piv);
+    out.factor_nnz += 2 * lp.size();
+    out.factor_flops += lp.size() * lp.size();
+    var_adj[piv] = {};
+    elem_adj[piv] = {};
+    elem_vars[piv] = lp;
+
+    // Approximate external degrees (Amestoy, Davis & Duff 1996): for
+    // each old element e next to Lp, ext[e] = |Le \ Lp|; then d(v) is
+    // bounded by its variable edges outside Lp, |Lp| - 1, and the ext of
+    // its other elements.
+    touched.clear();
+    for (std::size_t v : lp) {
+      for (std::size_t e : elem_adj[v]) {
+        if (absorbed[e]) {
+          continue;
         }
+        if (ext[e] == kUnset) {
+          ext[e] = elem_vars[e].size();
+          touched.push_back(e);
+        }
+        --ext[e];
       }
-      std::sort(frontier.begin(), frontier.end(),
-                [&](std::size_t a, std::size_t b) {
-                  return adj[a].size() != adj[b].size()
-                             ? adj[a].size() < adj[b].size()
-                             : a < b;
-                });
-      for (std::size_t v : frontier) {
-        bfs.push(v);
+    }
+    const std::size_t others = n - step - 1;  // live variables left
+    for (std::size_t v : lp) {
+      // Edges inside the new clique are covered by the element.
+      std::erase_if(var_adj[v], [&](std::size_t u) {
+        return eliminated[u] || mark[u] == step + 1;
+      });
+      std::erase_if(elem_adj[v], [&](std::size_t e) { return absorbed[e]; });
+      std::size_t d = var_adj[v].size() + lp.size() - 1;
+      for (std::size_t e : elem_adj[v]) {
+        d += ext[e];
       }
+      degree[v] = std::min({d, degree[v] + lp.size() - 1, others - 1});
+      elem_adj[v].push_back(piv);
+    }
+    for (std::size_t e : touched) {
+      ext[e] = kUnset;
     }
   }
-  std::reverse(order.begin(), order.end());
-  return order;
+  return out;
+}
+
+std::size_t dense_lu_flops(std::size_t n) {
+  return n == 0 ? 0 : (n - 1) * n * (2 * n - 1) / 6;
 }
 
 CsrMatrix::CsrMatrix(std::shared_ptr<const SparsityPattern> pattern)
@@ -302,236 +343,273 @@ void CsrMatrix::multiply(std::span<const double> x,
   }
 }
 
-namespace {
-
-/// Value at column `c` in a sorted entry row; exact 0.0 when absent.
-template <typename EntryVec>
-typename EntryVec::iterator find_col(EntryVec& row, std::uint32_t c) {
-  return std::lower_bound(
-      row.begin(), row.end(), c,
-      [](const auto& e, std::uint32_t col) { return e.col < col; });
-}
-
-}  // namespace
-
-SparseLu::SparseLu(const CsrMatrix& a, Ordering ordering)
-    : n_(a.rows()), ordering_kind_(ordering) {
-  OMX_REQUIRE(a.rows() == a.cols(), "LU needs a square matrix");
-  factorize(a);
-}
-
-void SparseLu::factorize(const CsrMatrix& a) {
-  const SparsityPattern& p = a.pattern();
-  if (ordering_kind_ == Ordering::kRcm) {
-    order_ = reverse_cuthill_mckee(p);
-  }
-
-  // Load the (optionally symmetrically permuted) matrix into per-row
-  // sorted entry vectors.
-  rows_.assign(n_, {});
-  std::vector<std::size_t> inv_order;
-  if (!order_.empty()) {
-    inv_order.resize(n_);
-    for (std::size_t i = 0; i < n_; ++i) {
-      inv_order[order_[i]] = i;
-    }
-  }
-  for (std::size_t r = 0; r < n_; ++r) {
-    const std::size_t src = order_.empty() ? r : order_[r];
-    auto& row = rows_[r];
-    row.reserve(p.row_ptr[src + 1] - p.row_ptr[src]);
-    for (std::size_t k = p.row_ptr[src]; k < p.row_ptr[src + 1]; ++k) {
-      const std::size_t c =
-          order_.empty() ? p.col_idx[k] : inv_order[p.col_idx[k]];
-      row.push_back({static_cast<std::uint32_t>(c), a.values()[k]});
-    }
-    std::sort(row.begin(), row.end(),
-              [](const Entry& x, const Entry& y) { return x.col < y.col; });
-  }
-
-  // Lower bandwidth of the loaded matrix bounds how far below the
-  // diagonal partial pivoting can ever find a nonzero: rows beyond
-  // k + bandwidth_ stay structurally zero in column k throughout the
-  // elimination (classic band-LU result), so the pivot scan — and the
-  // update loop — only visit that window. For the tridiagonal heat-PDE
-  // stencil this is a single row per column.
-  bandwidth_ = 0;
-  for (std::size_t r = 0; r < n_; ++r) {
-    for (const Entry& e : rows_[r]) {
-      if (r > e.col) {
-        bandwidth_ = std::max(bandwidth_, r - e.col);
-      }
-    }
-  }
-
-  perm_.resize(n_);
+SparseLu::SparseLu(std::shared_ptr<const SparsityPattern> pattern,
+                   const SymbolicLu& symbolic)
+    : n_(pattern->rows),
+      pattern_(std::move(pattern)),
+      order_(symbolic.order),
+      inv_order_(n_),
+      diag_(n_),
+      src_(n_),
+      work_(n_) {
+  OMX_REQUIRE(pattern_->rows == pattern_->cols && order_.size() == n_,
+              "sparse LU needs a square pattern and a matching ordering");
   for (std::size_t i = 0; i < n_; ++i) {
-    perm_[i] = i;
+    inv_order_[order_[i]] = i;
   }
-  pivot_min_ = std::numeric_limits<double>::infinity();
-  pivot_max_ = 0.0;
+}
 
-  std::vector<Entry> merged;
+SparseLu::SparseLu(const CsrMatrix& a)
+    : SparseLu(a.pattern_ptr(), minimum_degree(a.pattern())) {
+  factor(a);
+}
+
+bool SparseLu::factor(const CsrMatrix& a) {
+  OMX_REQUIRE(a.pattern_ptr() == pattern_ || a.pattern() == *pattern_,
+              "sparse LU: matrix pattern differs from the analyzed one");
+  if (recorded_ && replay(a)) {
+    return true;
+  }
+  const bool fallback = recorded_;
+  factor_full(a);
+  return !fallback;
+}
+
+bool SparseLu::replay(const CsrMatrix& a) {
+  constexpr double kMaxMultiplier = 1.0 / kPivotTolerance;
+  std::fill(val_.begin(), val_.end(), 0.0);
+  std::span<const double> av = a.values();
+  for (std::size_t e = 0; e < av.size(); ++e) {
+    val_[load_[e]] = av[e];
+  }
+  const std::uint32_t* upd = upd_.data();
   for (std::size_t k = 0; k < n_; ++k) {
-    const std::uint32_t kc = static_cast<std::uint32_t>(k);
-    const std::size_t imax = std::min(n_ - 1, k + bandwidth_);
-
-    // Partial pivot over the band window — same strict-`>` rule as the
-    // dense LuFactors; structurally absent entries are exact zeros and
-    // can never win, so the choice matches the dense scan bit-for-bit.
-    std::size_t piv = k;
-    double best = 0.0;
-    {
-      auto it = find_col(rows_[k], kc);
-      if (it != rows_[k].end() && it->col == kc) {
-        best = std::fabs(it->val);
+    const double pivot = val_[diag_[k]];
+    if (pivot == 0.0) {
+      return false;
+    }
+    const double inv_pivot = 1.0 / pivot;
+    const double* u = val_.data() + diag_[k] + 1;
+    const std::size_t nu = ptr_[k + 1] - diag_[k] - 1;
+    for (std::size_t j = lcol_ptr_[k]; j < lcol_ptr_[k + 1]; ++j, upd += nu) {
+      double& l = val_[lcol_[j]];
+      const double m = l * inv_pivot;
+      if (!(std::fabs(m) <= kMaxMultiplier)) {  // NaN fails too
+        return false;
+      }
+      l = m;
+      if (m != 0.0) {  // same skip as dense `if (m != 0.0)`
+        for (std::size_t q = 0; q < nu; ++q) {
+          val_[upd[q]] -= m * u[q];
+        }
       }
     }
-    for (std::size_t i = k + 1; i <= imax; ++i) {
-      auto it = find_col(rows_[i], kc);
-      if (it != rows_[i].end() && it->col == kc) {
-        const double v = std::fabs(it->val);
-        if (v > best) {
-          best = v;
-          piv = i;
+  }
+  return true;
+}
+
+void SparseLu::factor_full(const CsrMatrix& a) {
+  recorded_ = false;
+  constexpr std::size_t kNone = SparsityPattern::npos;
+  const SparsityPattern& p = a.pattern();
+  std::span<const double> av = a.values();
+  const ColumnView acols = columns(p);
+
+  // Left-looking (Gilbert-Peierls) elimination of B = A(order, order),
+  // one column at a time. Rows keep their index r in B; pivoting moves
+  // slots, exactly as the dense row swaps do. L and U grow by columns:
+  // L(:,j) holds (row r, multiplier), U(:,k) holds (slot j, value).
+  std::vector<std::size_t> l_ptr{0}, l_row, u_ptr{0}, u_slot;
+  std::vector<double> l_val, u_val, u_diag(n_);
+  std::vector<std::size_t> slot_of(n_), row_at(n_), pinv(n_, kNone);
+  std::iota(slot_of.begin(), slot_of.end(), 0);
+  std::iota(row_at.begin(), row_at.end(), 0);
+  std::vector<double> x(n_);
+  std::vector<std::size_t> mark(n_, kNone), stack, reach, cand;
+  for (std::size_t k = 0; k < n_; ++k) {
+    // Structure of column k of L \ B: the pivots it reaches through L's
+    // structural pattern (zero multipliers included, so any later matrix
+    // fits the recorded pattern) and the unpivoted rows it fills.
+    reach.clear();
+    cand.clear();
+    auto visit = [&](std::size_t r) {
+      if (mark[r] == k) {
+        return;
+      }
+      mark[r] = k;
+      x[r] = 0.0;
+      if (pinv[r] == kNone) {
+        cand.push_back(r);
+      } else {
+        stack.push_back(pinv[r]);
+      }
+    };
+    const std::size_t acol = order_[k];
+    for (std::size_t q = acols.col_ptr[acol]; q < acols.col_ptr[acol + 1];
+         ++q) {
+      visit(inv_order_[acols.row_idx[q]]);
+    }
+    while (!stack.empty()) {
+      const std::size_t j = stack.back();
+      stack.pop_back();
+      reach.push_back(j);
+      for (std::size_t t = l_ptr[j]; t < l_ptr[j + 1]; ++t) {
+        visit(l_row[t]);
+      }
+    }
+    for (std::size_t q = acols.col_ptr[acol]; q < acols.col_ptr[acol + 1];
+         ++q) {
+      x[inv_order_[acols.row_idx[q]]] = av[acols.csr_pos[q]];
+    }
+    // Each entry takes its updates in ascending pivot order, as the
+    // dense right-looking `a -= m * u` does, skipping m == 0 likewise.
+    std::sort(reach.begin(), reach.end());
+    for (std::size_t j : reach) {
+      const double u = x[row_at[j]];
+      u_slot.push_back(j);
+      u_val.push_back(u);
+      for (std::size_t t = l_ptr[j]; t < l_ptr[j + 1]; ++t) {
+        if (l_val[t] != 0.0) {
+          x[l_row[t]] -= l_val[t] * u;
         }
+      }
+    }
+    u_ptr.push_back(u_slot.size());
+
+    // Partial pivot: the largest |x| over slots >= k, the first slot
+    // among ties — the dense strict-`>` scan, where absent entries are
+    // exact zeros that never win.
+    std::size_t piv = k;
+    double best = mark[row_at[k]] == k ? std::fabs(x[row_at[k]]) : 0.0;
+    for (std::size_t r : cand) {
+      const std::size_t s = slot_of[r];
+      const double v = std::fabs(x[r]);
+      if (s != k && (v > best || (v == best && s < piv))) {
+        best = v;
+        piv = s;
       }
     }
     if (best == 0.0) {
       throw omx::Error("sparse LU: matrix is singular at column " +
                        std::to_string(k));
     }
-    if (piv != k) {
-      std::swap(perm_[piv], perm_[k]);
-      rows_[piv].swap(rows_[k]);
-      // Growing the band window is impossible: the swap happens inside
-      // the window, so bandwidth_ keeps bounding later pivot columns.
+    const std::size_t pr = row_at[piv];
+    std::swap(row_at[piv], row_at[k]);
+    slot_of[row_at[piv]] = piv;
+    slot_of[pr] = k;
+    pinv[pr] = k;
+    u_diag[k] = x[pr];
+    const double inv_pivot = 1.0 / x[pr];
+    for (std::size_t r : cand) {
+      if (r != pr) {
+        l_row.push_back(r);
+        l_val.push_back(x[r] * inv_pivot);
+      }
     }
-    pivot_min_ = std::min(pivot_min_, best);
-    pivot_max_ = std::max(pivot_max_, best);
-
-    auto kdiag = find_col(rows_[k], kc);
-    const double inv_pivot = 1.0 / kdiag->val;
-    const std::size_t kdiag_pos =
-        static_cast<std::size_t>(kdiag - rows_[k].begin());
-
-    for (std::size_t i = k + 1; i <= imax; ++i) {
-      auto& row = rows_[i];
-      auto lcol = find_col(row, kc);
-      if (lcol == row.end() || lcol->col != kc) {
-        // Dense stores m = 0 * inv_pivot here and skips the update — a
-        // numerical no-op, so the entry can stay structurally absent.
-        continue;
-      }
-      const double m = lcol->val * inv_pivot;
-      lcol->val = m;
-      if (m == 0.0) {
-        continue;  // same skip as dense `if (m != 0.0)`
-      }
-      // row_i(c) -= m * row_k(c) for c > k, merging in fill. First pass
-      // updates matching entries in place and counts the fill so the
-      // steady state (pattern already stabilized) allocates nothing.
-      const std::size_t head =
-          static_cast<std::size_t>(lcol - row.begin()) + 1;
-      std::size_t ai = head;
-      std::size_t bi = kdiag_pos + 1;
-      const auto& krow = rows_[k];
-      std::size_t fill = 0;
-      while (ai < row.size() && bi < krow.size()) {
-        if (row[ai].col < krow[bi].col) {
-          ++ai;
-        } else if (row[ai].col > krow[bi].col) {
-          ++fill;
-          ++bi;
-        } else {
-          row[ai].val -= m * krow[bi].val;
-          ++ai;
-          ++bi;
-        }
-      }
-      fill += krow.size() - bi;
-      if (fill == 0) {
-        continue;
-      }
-      // Second pass: rebuild the tail with the fill entries. Fill values
-      // are `0.0 - m * u`, exactly what the dense update computes when
-      // the target started as an exact zero (signed-zero faithful).
-      merged.clear();
-      merged.reserve(row.size() - head + fill);
-      ai = head;
-      bi = kdiag_pos + 1;
-      while (ai < row.size() && bi < krow.size()) {
-        if (row[ai].col < krow[bi].col) {
-          merged.push_back(row[ai]);
-          ++ai;
-        } else if (row[ai].col > krow[bi].col) {
-          merged.push_back({krow[bi].col, 0.0 - m * krow[bi].val});
-          ++bi;
-        } else {
-          merged.push_back(row[ai]);  // already updated in the first pass
-          ++ai;
-          ++bi;
-        }
-      }
-      for (; ai < row.size(); ++ai) {
-        merged.push_back(row[ai]);
-      }
-      for (; bi < krow.size(); ++bi) {
-        merged.push_back({krow[bi].col, 0.0 - m * krow[bi].val});
-      }
-      row.resize(head);
-      row.insert(row.end(), merged.begin(), merged.end());
-    }
+    l_ptr.push_back(l_row.size());
   }
 
-  diag_pos_.resize(n_);
-  for (std::size_t i = 0; i < n_; ++i) {
-    auto it = find_col(rows_[i], static_cast<std::uint32_t>(i));
-    OMX_REQUIRE(it != rows_[i].end() && it->col == i,
-                "sparse LU lost a diagonal");
-    diag_pos_[i] = static_cast<std::size_t>(it - rows_[i].begin());
+  // Flatten to rows in pivot order: L entries by ascending column, then
+  // the diagonal, then U by ascending column.
+  std::vector<std::size_t> nl(n_, 0), nu(n_, 0);
+  for (std::size_t r : l_row) {
+    ++nl[slot_of[r]];
   }
+  for (std::size_t j : u_slot) {
+    ++nu[j];
+  }
+  ptr_.assign(n_ + 1, 0);
+  for (std::size_t s = 0; s < n_; ++s) {
+    ptr_[s + 1] = ptr_[s] + nl[s] + 1 + nu[s];
+    diag_[s] = ptr_[s] + nl[s];
+    src_[s] = order_[row_at[s]];
+  }
+  col_.resize(ptr_[n_]);
+  val_.resize(ptr_[n_]);
+  std::vector<std::size_t> lcur(ptr_.begin(), ptr_.end() - 1);
+  std::vector<std::size_t> ucur(diag_);
+  lcol_ptr_ = l_ptr;
+  lcol_.resize(l_row.size());
+  for (std::size_t k = 0; k < n_; ++k) {
+    for (std::size_t t = l_ptr[k]; t < l_ptr[k + 1]; ++t) {
+      const std::size_t q = lcur[slot_of[l_row[t]]]++;
+      col_[q] = static_cast<std::uint32_t>(k);
+      val_[q] = l_val[t];
+      lcol_[t] = q;
+    }
+    for (std::size_t t = u_ptr[k]; t < u_ptr[k + 1]; ++t) {
+      const std::size_t q = ++ucur[u_slot[t]];
+      col_[q] = static_cast<std::uint32_t>(k);
+      val_[q] = u_val[t];
+    }
+    col_[diag_[k]] = static_cast<std::uint32_t>(k);
+    val_[diag_[k]] = u_diag[k];
+  }
+
+  // Replay schedule, row by row through a column -> slot map of the row.
+  // Row s holds every column of U row k for each of its multipliers
+  // (s, k): that is what the structural elimination guarantees.
+  std::vector<std::size_t> upd_at(lcol_.size() + 1, 0);
+  for (std::size_t k = 0; k < n_; ++k) {
+    for (std::size_t t = l_ptr[k]; t < l_ptr[k + 1]; ++t) {
+      upd_at[t + 1] = upd_at[t] + (ptr_[k + 1] - diag_[k] - 1);
+    }
+  }
+  std::vector<std::size_t> lidx(ptr_[n_]);
+  for (std::size_t t = 0; t < lcol_.size(); ++t) {
+    lidx[lcol_[t]] = t;
+  }
+  upd_.resize(upd_at.back());
+  load_.resize(av.size());
+  std::vector<std::size_t> pos(n_);
+  for (std::size_t s = 0; s < n_; ++s) {
+    for (std::size_t q = ptr_[s]; q < ptr_[s + 1]; ++q) {
+      pos[col_[q]] = q;
+    }
+    auto slot_in_row = [&](std::size_t c) {
+      const std::size_t q = pos[c];
+      OMX_REQUIRE(q >= ptr_[s] && q < ptr_[s + 1] && col_[q] == c,
+                  "sparse LU lost a structural entry");
+      return q;
+    };
+    const std::size_t arow = src_[s];
+    for (std::size_t e = p.row_ptr[arow]; e < p.row_ptr[arow + 1]; ++e) {
+      load_[e] = slot_in_row(inv_order_[p.col_idx[e]]);
+    }
+    for (std::size_t q = ptr_[s]; q < diag_[s]; ++q) {
+      const std::size_t k = col_[q];
+      std::size_t w = upd_at[lidx[q]];
+      for (std::size_t u = diag_[k] + 1; u < ptr_[k + 1]; ++u) {
+        upd_[w++] = static_cast<std::uint32_t>(slot_in_row(col_[u]));
+      }
+    }
+  }
+  recorded_ = true;
 }
 
 void SparseLu::solve(std::span<const double> b, std::span<double> x) const {
   OMX_REQUIRE(b.size() == n_ && x.size() == n_, "size mismatch");
-  // Apply permutations and forward-substitute L (unit diagonal), then
-  // back-substitute U — entry-for-entry the dense loops with the exact
-  // zeros skipped.
-  std::vector<double> y(n_);
-  std::vector<double> z(order_.empty() ? 0 : n_);
+  // Forward-substitute L (unit diagonal) on the permuted right-hand side,
+  // then back-substitute U — entry-for-entry the dense loops with the
+  // exact zeros skipped — and undo the symmetric ordering.
+  double* w = work_.data();
+  for (std::size_t s = 0; s < n_; ++s) {
+    double acc = b[src_[s]];
+    for (std::size_t q = ptr_[s]; q < diag_[s]; ++q) {
+      acc -= val_[q] * w[col_[q]];
+    }
+    w[s] = acc;
+  }
+  for (std::size_t s = n_; s-- > 0;) {
+    double acc = w[s];
+    for (std::size_t q = diag_[s] + 1; q < ptr_[s + 1]; ++q) {
+      acc -= val_[q] * w[col_[q]];
+    }
+    w[s] = acc / val_[diag_[s]];
+  }
   for (std::size_t i = 0; i < n_; ++i) {
-    const std::size_t src =
-        order_.empty() ? perm_[i] : order_[perm_[i]];
-    double acc = b[src];
-    const auto& row = rows_[i];
-    for (std::size_t k = 0; k < diag_pos_[i]; ++k) {
-      acc -= row[k].val * y[row[k].col];
-    }
-    y[i] = acc;
+    x[order_[i]] = w[i];
   }
-  std::span<double> out = order_.empty() ? x : std::span<double>(z);
-  for (std::size_t ii = n_; ii-- > 0;) {
-    double acc = y[ii];
-    const auto& row = rows_[ii];
-    for (std::size_t k = diag_pos_[ii] + 1; k < row.size(); ++k) {
-      acc -= row[k].val * out[row[k].col];
-    }
-    out[ii] = acc / row[diag_pos_[ii]].val;
-  }
-  if (!order_.empty()) {
-    for (std::size_t i = 0; i < n_; ++i) {
-      x[order_[i]] = z[i];
-    }
-  }
-}
-
-std::size_t SparseLu::factor_nnz() const {
-  std::size_t nnz = 0;
-  for (const auto& row : rows_) {
-    nnz += row.size();
-  }
-  return nnz;
 }
 
 }  // namespace omx::la

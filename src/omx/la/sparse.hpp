@@ -1,17 +1,22 @@
 // Sparse linear-algebra substrate for the stiff path: CSR sparsity
 // patterns, distance-2 column coloring (compressed finite-difference
-// Jacobians), a CSR value matrix, and a sparse LU factorization with
-// partial pivoting behind the la::LinearSolver interface.
+// Jacobians), a CSR value matrix, and a two-phase sparse LU behind the
+// la::LinearSolver interface: a symbolic minimum-degree ordering computed
+// once per pattern, and a numeric factorization that records its pivot
+// sequence and elimination schedule once, then refactors in place.
 //
-// Bitwise contract: with the default natural ordering, SparseLu performs
-// exactly the same floating-point operations as the dense LuFactors on
-// the same matrix — structural zeros are exact 0.0 in the dense path, so
-// they can never win the strict-`>` pivot search, their row updates are
-// numerical no-ops, and fill values are computed as `0.0 - m * u` just
-// like the dense in-place update. The stiff solvers rely on this to keep
-// dense-vs-sparse trajectories bit-for-bit identical. The RCM ordering
-// (opt-in, OMX_SPARSE_ORDERING=rcm) trades that identity for reduced
-// fill on patterns the natural order handles badly.
+// Bitwise contract: SparseLu performs exactly the floating-point
+// operations of the dense LuFactors on the same matrix when the
+// minimum-degree order is the natural one and the pivot rows coincide
+// with dense partial pivoting's, as on the tridiagonal heat-PDE stencil.
+// Structural zeros are exact 0.0 in the dense path, so they can never win
+// the strict-`>` pivot search, their row updates are numerical no-ops,
+// and fill values are computed as `0.0 - m * u` just like the dense
+// in-place update; each entry takes its updates in ascending pivot order
+// with m = a * inv_pivot. Elsewhere (a reordered pattern, or a replayed
+// pivot sequence that partial pivoting would have changed) the factors
+// differ from dense LU by rounding only, and are checked against it with
+// a residual oracle.
 #pragma once
 
 #include <cstddef>
@@ -41,7 +46,6 @@ struct SparsityPattern {
       std::vector<std::pair<std::size_t, std::size_t>> entries);
 
   std::size_t nnz() const { return col_idx.size(); }
-  double fill_ratio() const;
   /// max(i - j) over stored entries with i > j (0 when none).
   std::size_t lower_bandwidth() const;
   /// max(j - i) over stored entries with j > i (0 when none).
@@ -79,10 +83,24 @@ struct Coloring {
 
 Coloring color_columns(const SparsityPattern& p);
 
-/// Reverse Cuthill-McKee ordering of the symmetrized pattern; returns
-/// perm with perm[new_index] = old_index. Reduces bandwidth (and thus LU
-/// fill) for patterns the natural order handles badly.
-std::vector<std::size_t> reverse_cuthill_mckee(const SparsityPattern& p);
+/// Symbolic phase of SparseLu: a fill-reducing elimination order for a
+/// square pattern and the factor it predicts under diagonal pivoting.
+struct SymbolicLu {
+  std::vector<std::size_t> order;  // order[new_index] = old_index
+  std::size_t factor_nnz = 0;      // predicted L+U entries, diagonal included
+  std::size_t factor_flops = 0;    // predicted elimination multiply-adds
+};
+
+/// Minimum-degree ordering of the symmetrized pattern A + A^T, computed
+/// on a quotient graph (eliminated nodes become elements that absorb
+/// their neighbours) with approximate external degrees. Ties go to the
+/// lowest index, so banded and tridiagonal patterns keep their natural
+/// order. The predicted counts are exact for the returned order.
+SymbolicLu minimum_degree(const SparsityPattern& p);
+
+/// Multiply-adds of dense LU at order n: sum over k of (n-1-k)^2, about
+/// n^3/3. The backend choice compares SymbolicLu::factor_flops with it.
+std::size_t dense_lu_flops(std::size_t n);
 
 /// CSR value matrix over a shared (immutable) pattern.
 class CsrMatrix {
@@ -115,46 +133,74 @@ class CsrMatrix {
   std::vector<double> values_;
 };
 
-/// Sparse LU with partial pivoting. The pivot search is bounded by the
-/// lower bandwidth of the input (banded fast path: for a tridiagonal
-/// heat-PDE stencil only one subdiagonal row is scanned per column), and
-/// row updates merge only structurally nonzero entries, creating fill as
-/// needed. Throws omx::Error on a singular pivot column.
+/// Sparse LU with partial pivoting on a minimum-degree ordered matrix.
+///
+/// The first factor() runs a left-looking elimination with the dense
+/// LuFactors' partial-pivoting rule over structural entries only. It
+/// records the pivot sequence, the structural L+U pattern (fill is kept
+/// even where a multiplier is numerically zero) and a flat elimination
+/// schedule: where each input entry lands in the factor, and where each
+/// multiply-add writes. Every later factor() replays that schedule in
+/// place with no allocation, search or merge. If a replayed multiplier
+/// exceeds 1 / kPivotTolerance or a pivot is exactly zero, the stored
+/// sequence no longer suits the matrix and a full factorization records a
+/// new one. Throws omx::Error on a singular matrix.
+///
+/// solve() uses a workspace owned by the object, so one SparseLu must not
+/// be solved against from two threads at once; each stiff solver owns
+/// its own.
 class SparseLu final : public LinearSolver {
  public:
-  enum class Ordering {
-    kNatural,  // bitwise-identical to dense LuFactors (default)
-    kRcm,      // reverse Cuthill-McKee fill reduction (opt-in)
-  };
+  /// Threshold partial pivoting's tau: a replayed pivot must be at least
+  /// tau times every other entry of its column.
+  static constexpr double kPivotTolerance = 0.1;
 
-  explicit SparseLu(const CsrMatrix& a, Ordering ordering = Ordering::kNatural);
+  /// Binds the symbolic phase of `pattern`; factor() supplies values.
+  SparseLu(std::shared_ptr<const SparsityPattern> pattern,
+           const SymbolicLu& symbolic);
+  /// Orders a's pattern and factors it.
+  explicit SparseLu(const CsrMatrix& a);
+
+  /// Factors `a`, whose pattern must be the bound one. Returns false when
+  /// a replay failed the threshold test and fell back to a full
+  /// factorization.
+  bool factor(const CsrMatrix& a);
 
   std::size_t size() const override { return n_; }
   void solve(std::span<const double> b, std::span<double> x) const override;
   const char* kind() const override { return "sparse_lu"; }
-  std::size_t factor_nnz() const override;
-
-  /// Same cheap near-singularity heuristic as the dense LuFactors.
-  double pivot_growth() const { return pivot_min_ / pivot_max_; }
-  Ordering ordering() const { return ordering_kind_; }
+  std::size_t factor_nnz() const override { return val_.size(); }
+  /// Multiply-adds of one elimination under the recorded pivot sequence.
+  std::size_t factor_flops() const { return upd_.size(); }
 
  private:
-  struct Entry {
-    std::uint32_t col;
-    double val;
-  };
-
-  void factorize(const CsrMatrix& a);
+  void factor_full(const CsrMatrix& a);
+  bool replay(const CsrMatrix& a);
 
   std::size_t n_ = 0;
-  Ordering ordering_kind_ = Ordering::kNatural;
-  std::vector<std::vector<Entry>> rows_;   // L below diag (multipliers) + U
-  std::vector<std::size_t> diag_pos_;      // index of the diagonal per row
-  std::vector<std::size_t> perm_;          // row permutation from pivoting
-  std::vector<std::size_t> order_;         // symmetric ordering (RCM) or empty
-  std::size_t bandwidth_ = 0;              // lower bandwidth bound for pivots
-  double pivot_min_ = 0.0;
-  double pivot_max_ = 0.0;
+  std::shared_ptr<const SparsityPattern> pattern_;
+  std::vector<std::size_t> order_;      // symmetric ordering, new -> old
+  std::vector<std::size_t> inv_order_;  // old -> new
+  bool recorded_ = false;               // schedule valid for replay
+
+  // Factor rows in pivot order (CSR): L multipliers left of the
+  // diagonal, U from the diagonal on.
+  std::vector<std::size_t> ptr_;
+  std::vector<std::uint32_t> col_;
+  std::vector<double> val_;
+  std::vector<std::size_t> diag_;
+  std::vector<std::size_t> src_;  // input row feeding factor row s
+
+  // Elimination schedule: load_[e] is input entry e's factor slot;
+  // pivot k's multipliers sit at lcol_[lcol_ptr_[k] .. lcol_ptr_[k+1]],
+  // and the i-th of them writes U row k's entries to the next
+  // (ptr_[k+1] - diag_[k] - 1) slots of upd_.
+  std::vector<std::size_t> load_;
+  std::vector<std::size_t> lcol_ptr_;
+  std::vector<std::size_t> lcol_;
+  std::vector<std::uint32_t> upd_;
+
+  mutable std::vector<double> work_;  // solve() workspace
 };
 
 }  // namespace omx::la

@@ -66,16 +66,15 @@ std::shared_ptr<const JacPlan> make_jac_plan(const Problem& p) {
   plan->coloring = la::color_columns(*plan->pattern);
   plan->cols = la::columns(*plan->pattern);
 
-  // Backend selection: sparse pays off once the pattern is actually
-  // sparse and the system large enough that O(n^3) dense factorization
-  // dominates. OMX_SPARSE_DISABLE is the escape hatch (keeps the colored
-  // FD compression, forces dense LU); OMX_SPARSE_FORCE overrides the
-  // heuristic the other way (benches use it to measure both backends).
-  const double fill = plan->pattern->fill_ratio();
-  plan->use_sparse = p.n >= 8 && fill <= 0.25;
+  // Backend selection by predicted work: the minimum-degree sparse
+  // factor against dense LU. OMX_SPARSE_DISABLE is the escape hatch
+  // (keeps the colored FD compression, forces dense LU); OMX_SPARSE_FORCE
+  // overrides the rule the other way (benches use it to measure both).
+  plan->symbolic = la::minimum_degree(*plan->pattern);
+  plan->use_sparse = plan->symbolic.factor_flops < la::dense_lu_flops(p.n);
   // With OMX_TUNE=on a fitted cost model that has measured BOTH backends
-  // for this problem size overrides the static fill-ratio heuristic; the
-  // explicit env overrides below still win over the model.
+  // for this problem size overrides the flop rule; the explicit env
+  // overrides below still win over the model.
   if (tune::mode() == tune::Mode::kOn) {
     if (const std::optional<bool> verdict =
             tune::AutoTuner::global().stiff_backend(p.n)) {
@@ -88,15 +87,16 @@ std::shared_ptr<const JacPlan> make_jac_plan(const Problem& p) {
   if (env_flag("OMX_SPARSE_DISABLE")) {
     plan->use_sparse = false;
   }
-  if (config::get_string("OMX_SPARSE_ORDERING", "natural") == "rcm") {
-    plan->ordering = la::SparseLu::Ordering::kRcm;
-  }
 
   obs::Registry& reg = obs::Registry::global();
   static obs::Gauge& colors = reg.gauge("jac.colors");
   static obs::Gauge& nnz = reg.gauge("jac.nnz");
+  static obs::Gauge& factor_nnz = reg.gauge("jac.factor_nnz");
+  static obs::Gauge& factor_flops = reg.gauge("jac.factor_flops");
   colors.set(static_cast<double>(plan->coloring.num_colors));
   nnz.set(static_cast<double>(plan->pattern->nnz()));
+  factor_nnz.set(static_cast<double>(plan->symbolic.factor_nnz));
+  factor_flops.set(static_cast<double>(plan->symbolic.factor_flops));
   return plan;
 }
 
@@ -195,6 +195,7 @@ JacobianEngine::JacobianEngine(const Problem& p, int jac_threads)
     jac_csr_ = la::CsrMatrix(plan_->pattern);
     if (plan_->use_sparse) {
       m_csr_ = la::CsrMatrix(plan_->pattern);
+      sparse_lu_.emplace(plan_->pattern, plan_->symbolic);
     }
   }
   if (!plan_ || !plan_->use_sparse) {
@@ -258,7 +259,8 @@ void JacobianEngine::eval_jacobian(double t, std::span<const double> y,
 }
 
 void JacobianEngine::factorize(double beta_h) {
-  if (plan_ && plan_->use_sparse) {
+  solver_ = nullptr;
+  if (sparse_lu_) {
     const la::SparsityPattern& pat = *plan_->pattern;
     std::span<const double> jv = jac_csr_.values();
     std::span<double> mv = m_csr_.values();
@@ -267,7 +269,12 @@ void JacobianEngine::factorize(double beta_h) {
         mv[k] = (pat.col_idx[k] == r ? 1.0 : 0.0) - beta_h * jv[k];
       }
     }
-    solver_ = std::make_unique<la::SparseLu>(m_csr_, plan_->ordering);
+    if (!sparse_lu_->factor(m_csr_)) {
+      static obs::Counter& fallbacks =
+          obs::Registry::global().counter("jac.refactor_fallbacks");
+      fallbacks.add();
+    }
+    solver_ = &*sparse_lu_;
   } else {
     la::Matrix m(p_.n, p_.n);
     for (std::size_t i = 0; i < p_.n; ++i) {
@@ -275,7 +282,7 @@ void JacobianEngine::factorize(double beta_h) {
         m(i, j) = (i == j ? 1.0 : 0.0) - beta_h * jac_dense_(i, j);
       }
     }
-    solver_ = std::make_unique<la::LuFactors>(std::move(m));
+    solver_ = &dense_lu_.emplace(std::move(m));
   }
   factored_beta_h_ = beta_h;
 }
@@ -313,7 +320,7 @@ la::LinearSolver& JacobianEngine::prepare(double t,
 }
 
 void JacobianEngine::invalidate() {
-  solver_.reset();
+  solver_ = nullptr;
   have_jac_ = false;
   refresh_requested_ = false;
   age_ = 0;

@@ -15,14 +15,21 @@
 //    derivative directly.
 //
 // JacobianEngine owns the Jacobian values, the iteration matrix
-// M = I - beta*h*J, its factorization (dense or sparse LU, picked by
-// fill ratio), and the LSODA-style reuse policy: a beta*h change alone
-// refactors with the existing Jacobian values (a "reuse hit"); only
-// divergence, slow convergence, or age forces a re-evaluation.
+// M = I - beta*h*J, its factorization, and the LSODA-style reuse policy:
+// a beta*h change alone refactors with the existing Jacobian values (a
+// "reuse hit"); only divergence, slow convergence, or age forces a
+// re-evaluation. The backend is the one with fewer predicted flops: the
+// plan's minimum-degree sparse factor against dense LU's n^3/3. The
+// sparse factor is refactored in place, replaying its recorded pivot
+// sequence. Dense and sparse trajectories are bitwise identical where the
+// minimum-degree order is natural and the replayed pivots are the ones
+// partial pivoting picks (the heat-PDE stencil); elsewhere they agree to
+// rounding.
 #pragma once
 
 #include <cmath>
 #include <memory>
+#include <optional>
 
 #include "omx/la/lu.hpp"
 #include "omx/la/sparse.hpp"
@@ -54,17 +61,18 @@ struct JacPlan {
   std::shared_ptr<const la::SparsityPattern> pattern;
   la::Coloring coloring;
   la::ColumnView cols;  // CSC companion for column-wise FD scatter
-  /// Factorization backend chosen by fill ratio (and OMX_SPARSE_DISABLE).
+  /// Minimum-degree ordering of `pattern` and its predicted factor.
+  la::SymbolicLu symbolic;
+  /// Factorization backend: sparse when symbolic.factor_flops is below
+  /// dense LU's (OMX_SPARSE_FORCE / OMX_SPARSE_DISABLE override).
   bool use_sparse = false;
-  la::SparseLu::Ordering ordering = la::SparseLu::Ordering::kNatural;
 };
 
 /// Builds the plan from p.sparsity; returns nullptr when the problem has
 /// no pattern (legacy dense path). Honors OMX_SPARSE_DISABLE (forces the
 /// dense backend while keeping the colored FD compression) and
-/// OMX_SPARSE_ORDERING=rcm (opt-in fill-reducing ordering; trades away
-/// the bitwise dense/sparse identity). Also publishes the jac.colors /
-/// jac.nnz gauges.
+/// OMX_SPARSE_FORCE. Also publishes the jac.colors, jac.nnz,
+/// jac.factor_nnz and jac.factor_flops gauges (the last two predicted).
 std::shared_ptr<const JacPlan> make_jac_plan(const Problem& p);
 
 /// Colored compressed finite-difference Jacobian into CSR values:
@@ -107,6 +115,9 @@ class JacobianEngine {
   /// `jac_threads`: color-group evaluation threads (needs a bound
   /// batch_rhs to take effect; see colored_fd_jacobian).
   JacobianEngine(const Problem& p, int jac_threads);
+  // solver_ points into the engine's own factor members.
+  JacobianEngine(const JacobianEngine&) = delete;
+  JacobianEngine& operator=(const JacobianEngine&) = delete;
 
   /// Ensures a factorization of M = I - beta_h * J consistent with the
   /// reuse policy and returns the solver to iterate with. Evaluates the
@@ -142,7 +153,9 @@ class JacobianEngine {
   la::CsrMatrix jac_csr_;                // pattern path: Jacobian values
   la::CsrMatrix m_csr_;                  // pattern path: iteration matrix
   la::Matrix jac_dense_;                 // dense backend: Jacobian mirror
-  std::unique_ptr<la::LinearSolver> solver_;
+  std::optional<la::SparseLu> sparse_lu_;  // sparse backend, refactored
+  std::optional<la::LuFactors> dense_lu_;
+  la::LinearSolver* solver_ = nullptr;   // valid factorization, or null
   bool have_jac_ = false;
   bool refresh_requested_ = false;
   std::size_t age_ = 0;

@@ -37,11 +37,9 @@ const std::vector<Knob>& table() {
        "-mprefer-vector-width= for native kernels (off/none disables; "
        "probed; lanes are value-identical at any width)"},
       {"OMX_SPARSE_FORCE", "bool", "false",
-       "force the sparse stiff backend regardless of fill ratio"},
+       "force the sparse stiff backend regardless of predicted flops"},
       {"OMX_SPARSE_DISABLE", "bool", "false",
-       "force the dense stiff backend regardless of fill ratio"},
-      {"OMX_SPARSE_ORDERING", "string", "natural",
-       "sparse LU ordering: natural (bitwise == dense) or rcm"},
+       "force the dense stiff backend regardless of predicted flops"},
       {"OMX_TUNE", "string", "off",
        "auto-tuner mode: off, calibrate (record only) or on (record and "
        "pick ensemble/stiff configuration from the fitted cost models)"},

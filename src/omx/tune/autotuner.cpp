@@ -230,7 +230,7 @@ std::optional<bool> AutoTuner::stiff_backend(std::size_t problem_n) {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = stiffs_.find(problem_n);
   // A backend verdict needs both curves measured; with one side unseen
-  // the static fill-ratio heuristic in make_jac_plan knows better.
+  // the static flop rule in make_jac_plan knows better.
   if (it == stiffs_.end() || !it->second.has_backend(false) ||
       !it->second.has_backend(true)) {
     return std::nullopt;

@@ -1,8 +1,9 @@
 // Differential tests for the sparse Jacobian pipeline: structural
 // patterns vs finite-difference probes, colored compressed FD vs the
-// dense one-column-at-a-time Jacobian, sparse LU vs dense LU (bitwise,
-// by design), dense-vs-sparse BDF trajectories, and the LSODA-style
-// reuse policy.
+// dense one-column-at-a-time Jacobian, sparse LU vs dense LU (bitwise
+// where the minimum-degree order is natural, a residual oracle
+// elsewhere), refactorization replay and its fallback, dense-vs-sparse
+// BDF trajectories, and the LSODA-style reuse policy.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,10 +15,12 @@
 #include "omx/analysis/sparsity.hpp"
 #include "omx/la/lu.hpp"
 #include "omx/la/sparse.hpp"
+#include "omx/models/bearing2d.hpp"
 #include "omx/models/heat1d.hpp"
 #include "omx/models/hydro.hpp"
 #include "omx/models/oscillator.hpp"
 #include "omx/models/servo.hpp"
+#include "omx/obs/registry.hpp"
 #include "omx/ode/jacobian.hpp"
 #include "omx/ode/solve.hpp"
 #include "omx/pipeline/pipeline.hpp"
@@ -283,7 +286,8 @@ TEST(SparseLu, SingularColumnThrowsDiagnostic) {
 
 CsrMatrix arrow_matrix(std::size_t n) {
   // Dense first row and column: the natural elimination order fills the
-  // whole matrix; RCM pushes the hub to the end, keeping fill minimal.
+  // whole matrix; minimum degree eliminates the spokes first and the hub
+  // last, keeping fill minimal.
   std::vector<std::pair<std::size_t, std::size_t>> trips;
   for (std::size_t i = 0; i < n; ++i) {
     trips.emplace_back(0, i);
@@ -304,30 +308,199 @@ CsrMatrix arrow_matrix(std::size_t n) {
   return a;
 }
 
-TEST(SparseLu, PathologicalFillStaysCorrectAndRcmReducesIt) {
+/// max_i |(A x - b)_i| / (|A| |x| + |b|)_i: the componentwise backward
+/// error, the residual oracle for factors that reorder the arithmetic.
+double relative_residual(const la::Matrix& a, std::span<const double> x,
+                         std::span<const double> b) {
+  double worst = 0.0;
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    double r = -b[i];
+    double scale = std::fabs(b[i]);
+    for (std::size_t j = 0; j < a.cols(); ++j) {
+      r += a(i, j) * x[j];
+      scale += std::fabs(a(i, j) * x[j]);
+    }
+    worst = std::max(worst, std::fabs(r) / scale);
+  }
+  return worst;
+}
+
+std::vector<double> test_rhs(std::size_t n) {
+  std::vector<double> b(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    b[i] = 0.5 + 0.125 * static_cast<double>(i % 7) -
+           0.3 * static_cast<double>(i % 2);
+  }
+  return b;
+}
+
+TEST(SparseLu, PathologicalFillStaysCorrectAndMinDegreeReducesIt) {
   const std::size_t n = 16;
   CsrMatrix a = arrow_matrix(n);
-  la::SparseLu natural(a, la::SparseLu::Ordering::kNatural);
-  la::SparseLu rcm(a, la::SparseLu::Ordering::kRcm);
+  const la::SymbolicLu sym = la::minimum_degree(a.pattern());
+  // The hub couples to every spoke, so it is eliminated last: only when a
+  // single spoke is left do their degrees tie, and the lower index wins.
+  ASSERT_EQ(sym.order.size(), n);
+  EXPECT_EQ(sym.order[n - 2], 0u);
+  EXPECT_EQ(sym.order[n - 1], n - 1);
+  la::SparseLu lu(a);
   la::LuFactors dense(a.to_dense());
 
-  std::vector<double> b(n), xn(n), xr(n), xd(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    b[i] = 0.5 + 0.125 * static_cast<double>(i % 7);
-  }
-  natural.solve(b, xn);
-  rcm.solve(b, xr);
+  const std::vector<double> b = test_rhs(n);
+  std::vector<double> xs(n), xd(n);
+  lu.solve(b, xs);
   dense.solve(b, xd);
+  const la::Matrix ad = a.to_dense();
+  EXPECT_LE(relative_residual(ad, xs, b), 1e-14);
   for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(xn[i], xd[i]) << "natural component " << i;
-    // RCM reorders the arithmetic, so identity is only up to rounding.
-    EXPECT_NEAR(xr[i], xd[i], 1e-12 * (1.0 + std::fabs(xd[i])))
-        << "rcm component " << i;
+    EXPECT_NEAR(xs[i], xd[i], 1e-12 * (1.0 + std::fabs(xd[i])))
+        << "component " << i;
   }
-  // Natural elimination of the hub-first arrow fills everything; RCM
-  // eliminates the spokes first and stays near the original nnz.
-  EXPECT_EQ(natural.factor_nnz(), n * n);
-  EXPECT_LT(rcm.factor_nnz(), a.pattern().nnz() + n);
+  // Spokes first: no fill at all, against n*n under the natural order.
+  EXPECT_LE(lu.factor_nnz(), a.pattern().nnz() + n);
+  EXPECT_EQ(sym.factor_nnz, a.pattern().nnz());
+}
+
+TEST(MinimumDegree, KeepsBandedOrdersNatural) {
+  for (std::size_t n : {1u, 2u, 12u, 40u}) {
+    const SparsityPattern p = tridiagonal_matrix(n).pattern();
+    const la::SymbolicLu sym = la::minimum_degree(p);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(sym.order[i], i) << "n " << n;
+    }
+    EXPECT_EQ(sym.factor_nnz, p.nnz());
+    EXPECT_EQ(sym.factor_flops, n - 1);
+  }
+  // Wider bands fill nothing outside the band in natural order either.
+  for (std::size_t band : {2u, 3u}) {
+    const std::size_t n = 30;
+    std::vector<std::pair<std::size_t, std::size_t>> trips;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t lo = i >= band ? i - band : 0;
+      for (std::size_t j = lo; j < std::min(n, i + band + 1); ++j) {
+        trips.emplace_back(i, j);
+      }
+    }
+    const SparsityPattern p =
+        SparsityPattern::from_triplets(n, n, std::move(trips));
+    const la::SymbolicLu sym = la::minimum_degree(p);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(sym.order[i], i) << "band " << band;
+    }
+    EXPECT_EQ(sym.factor_nnz, p.nnz());
+  }
+  // A dense pattern predicts exactly dense LU's work.
+  const la::SymbolicLu dense = la::minimum_degree(SparsityPattern::dense(9));
+  EXPECT_EQ(dense.factor_flops, la::dense_lu_flops(9));
+  EXPECT_EQ(dense.factor_nnz, 81u);
+}
+
+TEST(SparseLu, RefactorMatchesFreshFactorizationWhenPivotsAgree) {
+  const std::size_t n = 16;
+  CsrMatrix a = arrow_matrix(n);
+  la::SparseLu lu(a.pattern_ptr(), la::minimum_degree(a.pattern()));
+  EXPECT_TRUE(lu.factor(a));
+  const std::size_t nnz = lu.factor_nnz();
+  const std::size_t flops = lu.factor_flops();
+  EXPECT_GT(flops, 0u);
+
+  // Same pattern, new values with the same dominance: the replay keeps
+  // the pivot sequence, which is the one a fresh factorization picks, so
+  // the factors are bitwise those of the fresh one.
+  CsrMatrix a2 = a;
+  for (std::size_t k = 0; k < a2.values().size(); ++k) {
+    a2.values()[k] *= 1.0 + 0.01 * static_cast<double>(k % 5);
+  }
+  EXPECT_TRUE(lu.factor(a2));
+  EXPECT_EQ(lu.factor_nnz(), nnz);
+  EXPECT_EQ(lu.factor_flops(), flops);
+  la::SparseLu fresh(a2);
+  const std::vector<double> b = test_rhs(n);
+  std::vector<double> xr(n), xf(n);
+  lu.solve(b, xr);
+  fresh.solve(b, xf);
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(xr[i], xf[i]) << "component " << i;
+  }
+}
+
+TEST(SparseLu, TinyStoredPivotFallsBackToFullFactorization) {
+  // 2x2 blocks along a tridiagonal: the first matrix pivots on the
+  // diagonal; the second makes the stored diagonal pivots tiny against
+  // their subdiagonal entries, so the replay must fail the threshold test.
+  const std::size_t n = 10;
+  CsrMatrix a = tridiagonal_matrix(n);
+  const SparsityPattern& sp = a.pattern();
+  auto fill = [&](double diag, double off) {
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t k = sp.row_ptr[i]; k < sp.row_ptr[i + 1]; ++k) {
+        const std::size_t j = sp.col_idx[k];
+        a.values()[k] = i == j ? diag + 0.01 * static_cast<double>(i)
+                               : off * (1.0 + 0.1 * static_cast<double>(j));
+      }
+    }
+  };
+  fill(4.0, 1.0);
+  la::SparseLu lu(a.pattern_ptr(), la::minimum_degree(sp));
+  EXPECT_TRUE(lu.factor(a));
+  fill(1e-9, 1.0);
+  EXPECT_FALSE(lu.factor(a));
+
+  const std::vector<double> b = test_rhs(n);
+  std::vector<double> x(n);
+  lu.solve(b, x);
+  EXPECT_LE(relative_residual(a.to_dense(), x, b), 1e-12);
+  // The fallback recorded the new pivot sequence: a second identical
+  // matrix replays without failing.
+  EXPECT_TRUE(lu.factor(a));
+  std::vector<double> x2(n);
+  lu.solve(b, x2);
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(x2[i], x[i]) << "component " << i;
+  }
+}
+
+TEST(SparseLu, BearingIterationMatrixSolvesLikeDenseLu) {
+  for (int rollers : {10, 20, 40}) {
+    SCOPED_TRACE(rollers);
+    models::BearingConfig cfg;
+    cfg.n_rollers = rollers;
+    pipeline::CompiledModel cm = pipeline::compile_model(
+        [&cfg](expr::Context& ctx) { return models::build_bearing(ctx, cfg); });
+    ode::Problem p = cm.make_problem(exec::Backend::kInterp, 0.0, 1.0);
+    std::shared_ptr<const ode::JacPlan> plan = ode::make_jac_plan(p);
+    ASSERT_TRUE(plan != nullptr);
+    EXPECT_TRUE(plan->use_sparse);
+    EXPECT_LT(plan->symbolic.factor_flops, la::dense_lu_flops(p.n) / 20);
+
+    CsrMatrix jac(plan->pattern);
+    std::uint64_t calls = 0;
+    ode::colored_fd_jacobian(p, *plan, 0.0, p.y0, jac, calls);
+    CsrMatrix m(plan->pattern);
+    la::SparseLu lu(plan->pattern, plan->symbolic);
+    const std::vector<double> b = test_rhs(p.n);
+    // The small step keeps M near I; the large one pivots off the
+    // diagonal on the stiff contact columns, so the second factor()
+    // falls back to a full factorization or replays within tau.
+    for (double beta_h : {1e-5, 1e-3}) {
+      const SparsityPattern& sp = *plan->pattern;
+      for (std::size_t r = 0; r < p.n; ++r) {
+        for (std::size_t k = sp.row_ptr[r]; k < sp.row_ptr[r + 1]; ++k) {
+          m.values()[k] =
+              (sp.col_idx[k] == r ? 1.0 : 0.0) - beta_h * jac.values()[k];
+        }
+      }
+      lu.factor(m);
+      const la::Matrix md = m.to_dense();
+      la::LuFactors dense(md);
+      std::vector<double> xs(p.n), xd(p.n);
+      lu.solve(b, xs);
+      dense.solve(b, xd);
+      EXPECT_LE(relative_residual(md, xs, b), 1e-12) << "beta_h " << beta_h;
+      EXPECT_LE(relative_residual(md, xd, b), 1e-12) << "beta_h " << beta_h;
+      EXPECT_LT(lu.factor_flops(), la::dense_lu_flops(p.n) / 20);
+    }
+  }
 }
 
 // -- dense vs sparse BDF trajectories ----------------------------------------
@@ -363,6 +536,37 @@ TEST(StiffPath, DenseAndSparseBackendsBitwiseIdentical) {
       ASSERT_EQ(yd[i], ys[i]) << "step " << s << " component " << i;
     }
   }
+}
+
+TEST(StiffPath, BearingRefactorsInPlaceWithRareFallbacks) {
+  // The arrow-shaped bearing pattern takes the sparse backend by
+  // predicted flops, publishes the plan's counts, and replays its
+  // recorded pivot sequence for most factorizations.
+  models::BearingConfig cfg;
+  cfg.n_rollers = 10;
+  pipeline::CompiledModel cm = pipeline::compile_model(
+      [&cfg](expr::Context& ctx) { return models::build_bearing(ctx, cfg); });
+  ode::Problem p = cm.make_problem(exec::Backend::kInterp, 0.0, 0.01);
+  obs::Registry& reg = obs::Registry::global();
+  obs::Counter& fallbacks = reg.counter("jac.refactor_fallbacks");
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  const std::uint64_t before = fallbacks.value();
+  ode::SolverOptions opts;
+  opts.tol.rtol = 1e-6;
+  opts.tol.atol = 1e-9;
+  const ode::Solution sol = ode::solve(p, ode::Method::kBdf, opts);
+  const std::uint64_t fell_back = fallbacks.value() - before;
+  std::shared_ptr<const ode::JacPlan> plan = ode::make_jac_plan(p);
+  const double factor_flops = reg.gauge("jac.factor_flops").value();
+  const double factor_nnz = reg.gauge("jac.factor_nnz").value();
+  obs::set_enabled(was_enabled);
+
+  ASSERT_TRUE(plan->use_sparse);
+  EXPECT_EQ(factor_flops, static_cast<double>(plan->symbolic.factor_flops));
+  EXPECT_EQ(factor_nnz, static_cast<double>(plan->symbolic.factor_nnz));
+  EXPECT_GT(sol.stats.jac_factorizations, 20u);
+  EXPECT_LT(4 * fell_back, sol.stats.jac_factorizations);
 }
 
 TEST(StiffPath, ColoredFdCutsRhsCalls) {
